@@ -8,7 +8,9 @@ the outputs depends on wall-clock time, so identical invocations produce
 byte-identical files.
 
 Exit codes: 0 all configured assertions pass, 1 an assertion failed
-(data files are still written), 2 configuration error.
+(data files are still written), 2 configuration error, 3 a training run
+diverged (the run is aborted; `failure.json` beside the manifest records the
+subcommand, the step, the MSEs seen there, eta and T).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .harness import (
     residual_subspace_decomposition,
     spectral_decay_experiment,
 )
+from .network import DivergenceError
 
 log = logging.getLogger("earlylin")
 
@@ -255,6 +258,26 @@ def _write_manifest(out_dir: str, subcommand: str, cfg: dict, raw: dict | None,
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _json_float(value: float):
+    """Finite floats as numbers, inf/nan as strings, so the file stays JSON."""
+    return value if math.isfinite(value) else str(value)
+
+
+def _write_failure(out_dir: str, subcommand: str, exc: DivergenceError) -> str:
+    failure = {
+        "subcommand": subcommand,
+        "step": exc.step,
+        "mses": {name: _json_float(v) for name, v in exc.mses.items()},
+        "eta": exc.eta,
+        "T": exc.T,
+    }
+    path = os.path.join(out_dir, "failure.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(failure, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -507,6 +530,15 @@ def _run_decompose(cfg, out_dir):
             raise ConfigError([f"/{key}: file not found: {cfg[key]}"])
     residual = _load_matrix(cfg["residual_csv"]).ravel()
     X_test = _load_matrix(cfg["xtest_csv"])
+    n_test, d = X_test.shape
+    if n_test <= d:
+        raise ConfigError([
+            f"/xtest_csv: need more rows than columns for a non-trivial "
+            f"complement, got shape ({n_test}, {d})"])
+    if residual.shape != (n_test,):
+        raise ConfigError([
+            f"/residual_csv: holds {residual.size} values, expected {n_test} "
+            f"(one per row of xtest_csv)"])
     energy_in, energy_out = residual_subspace_decomposition(residual, X_test)
     total = energy_in + energy_out
     _write_csv(os.path.join(out_dir, "decomposition.csv"),
@@ -604,6 +636,8 @@ def run(argv=None) -> int:
         "runs", args.subcommand)
     os.makedirs(out_dir, exist_ok=True)
     _write_manifest(out_dir, args.subcommand, cfg, raw_file, warnings)
+    if os.path.exists(os.path.join(out_dir, "failure.json")):
+        os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
 
     try:
         checks = _RUNNERS[args.subcommand](cfg, out_dir)
@@ -611,6 +645,10 @@ def run(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        path = _write_failure(out_dir, args.subcommand, exc)
+        print(f"aborted: {exc}; see {path}", file=sys.stderr)
+        return 3
 
     failed = [c for c in checks if not c.ok]
     for check in checks:

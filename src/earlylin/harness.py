@@ -31,9 +31,8 @@ from .kernels import (
 )
 from .linmodel import FeatureMap, features, naive_map
 from .network import (
-    DivergenceError,
-    DIVERGENCE_FACTOR,
     TwoLayerNet,
+    check_divergence,
     preactivations,
     random_init,
     symmetric_init,
@@ -193,9 +192,12 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
 
     records: list[AgreementRecord] = []
     initial_mse = None
+    # Z, A and A_test depend on W only: they are recomputed only when W moves,
+    # A_test lazily at the next record step.
+    Z = preactivations(net, X)
+    A = phi(net.act, Z)
+    A_test = None
     for t in range(T + 1):
-        Z = preactivations(net, X)
-        A = phi(net.act, Z)
         u_net = A @ net.v / sqrt_m
         u_lin = Psi @ beta
 
@@ -203,15 +205,14 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
         mse_lin = float(np.mean((u_lin - y) ** 2))
         if initial_mse is None:
             initial_mse = max(mse_net, mse_lin)
-        worst = max(mse_net, mse_lin)
-        if not math.isfinite(worst) or (initial_mse > 0 and worst > DIVERGENCE_FACTOR * initial_mse):
-            raise DivergenceError(
-                f"coupled run diverged at step {t}: net mse={mse_net}, lin mse={mse_lin}"
-            )
+        check_divergence("coupled run", t, {"net": mse_net, "lin": mse_lin},
+                         initial_mse, eta, T)
 
         if t % config.record_stride == 0 or t == T:
             if config.n_test > 0:
-                f_net_test = phi(net.act, preactivations(net, X_test)) @ net.v / sqrt_m
+                if A_test is None:
+                    A_test = phi(net.act, preactivations(net, X_test))
+                f_net_test = A_test @ net.v / sqrt_m
                 f_lin_test = Psi_test @ beta
                 test_gap = float(np.mean(np.minimum((f_net_test - f_lin_test) ** 2, 1.0)))
             else:
@@ -230,12 +231,18 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
             break
 
         r_net = u_net - y
+        # both gradients use the pre-step v and A; v moves first so that A
+        # can be refreshed right after W moves
+        v = net.v
+        if eta2 != 0.0:
+            net.v = v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
         if eta1 != 0.0:
+            A_test = None
             G = phi_prime(net.act, Z)
             net.W = net.W - (eta1 / (n * sqrt_md)) * (
-                net.v[:, None] * ((G * r_net[:, None]).T @ X))
-        if eta2 != 0.0:
-            net.v = net.v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
+                v[:, None] * ((G * r_net[:, None]).T @ X))
+            Z = preactivations(net, X)
+            A = phi(net.act, Z)
         beta = beta - (eta / n) * (Psi.T @ (u_lin - y))
 
     return CoupledRunResult(records=records, eta=eta, T=T, mode=config.mode,
@@ -391,9 +398,10 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
 
     records: list[AblationRecord] = []
     initial_mse = None
+    # Z and A depend on W only, so they are recomputed only when W moves.
+    Z = preactivations(net, X)
+    A = phi(net.act, Z)
     for t in range(T + 1):
-        Z = preactivations(net, X)
-        A = phi(net.act, Z)
         u_net = A @ net.v / sqrt_m
         u_full = Psi_full @ beta_full
         u_naive = Psi_naive @ beta_naive
@@ -401,8 +409,7 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
         mse_net = float(np.mean((u_net - y) ** 2))
         if initial_mse is None:
             initial_mse = mse_net
-        if not math.isfinite(mse_net) or (initial_mse > 0 and mse_net > DIVERGENCE_FACTOR * initial_mse):
-            raise DivergenceError(f"ablation run diverged at step {t}: mse={mse_net}")
+        check_divergence("ablation run", t, {"net": mse_net}, initial_mse, eta, T)
 
         if t % config.record_stride == 0 or t == T:
             records.append(AblationRecord(
@@ -414,12 +421,17 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
             break
 
         r_net = u_net - y
+        # both gradients use the pre-step v and A; v moves first so that A
+        # can be refreshed right after W moves
+        v = net.v
+        if eta2 != 0.0:
+            net.v = v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
         if eta1 != 0.0:
             G = phi_prime(net.act, Z)
             net.W = net.W - (eta1 / (n * sqrt_md)) * (
-                net.v[:, None] * ((G * r_net[:, None]).T @ X))
-        if eta2 != 0.0:
-            net.v = net.v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
+                v[:, None] * ((G * r_net[:, None]).T @ X))
+            Z = preactivations(net, X)
+            A = phi(net.act, Z)
         beta_full = beta_full - (eta / n) * (Psi_full.T @ (u_full - y))
         beta_naive = beta_naive - (eta / n) * (Psi_naive.T @ (u_naive - y))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import Moments
-from .network import DivergenceError, DIVERGENCE_FACTOR
+from .network import check_divergence
 
 MODES = ("first", "second", "both")
 EIGH_MAX_N = 2000
@@ -130,10 +130,7 @@ def lin_gd_train(fmap: FeatureMap, dataset, eta: float, T: int, recorder=None,
         mse = float(np.mean((u - y) ** 2))
         if initial_mse is None:
             initial_mse = mse
-        if not math.isfinite(mse) or (initial_mse > 0 and mse > DIVERGENCE_FACTOR * initial_mse):
-            raise DivergenceError(
-                f"linear GD diverged at step {t}: mse={mse} (initial {initial_mse})"
-            )
+        check_divergence("linear GD", t, {"lin": mse}, initial_mse, eta, T)
         train_mse[t] = mse
         beta_norm[t] = float(np.linalg.norm(beta))
         if preds is not None:

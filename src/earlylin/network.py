@@ -22,7 +22,28 @@ DIVERGENCE_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite or blew up past the divergence factor."""
+    """Training loss became non-finite or blew up past the divergence factor.
+
+    `step` is the step at which the check failed, `mses` the training MSE of
+    each model seen there (by name: "net", "lin", ...), and `eta`, `T` the
+    learning rate and horizon of the run.
+    """
+
+    def __init__(self, what: str, step: int, mses: dict[str, float],
+                 eta: float, T: int):
+        self.step, self.mses, self.eta, self.T = step, dict(mses), eta, T
+        seen = ", ".join(f"{name} mse={value}" for name, value in self.mses.items())
+        super().__init__(f"{what} diverged at step {step}: {seen}")
+
+
+def check_divergence(what: str, step: int, mses: dict[str, float],
+                     initial_mse: float, eta: float, T: int) -> None:
+    """Raise DivergenceError if any MSE is non-finite or exceeds
+    DIVERGENCE_FACTOR times the initial MSE."""
+    worst = max(mses.values())
+    if (not all(math.isfinite(v) for v in mses.values())
+            or (initial_mse > 0 and worst > DIVERGENCE_FACTOR * initial_mse)):
+        raise DivergenceError(what, step, mses, eta, T)
 
 
 @dataclass
@@ -234,17 +255,16 @@ def train(net: TwoLayerNet, dataset, config: TrainConfig, recorder=None,
 
     initial_mse = None
     sqrt_m, sqrt_md = math.sqrt(net.m), math.sqrt(net.m * net.d)
+    # Z and A depend on W only, so they are recomputed only when W moves.
+    Z = preactivations(net, X)
+    A = phi(net.act, Z)
     for t in range(T + 1):
-        Z = preactivations(net, X)
-        A = phi(net.act, Z)
         u = A @ net.v / sqrt_m
         mse = float(np.mean((u - y) ** 2))
         if initial_mse is None:
             initial_mse = mse
-        if not math.isfinite(mse) or (initial_mse > 0 and mse > DIVERGENCE_FACTOR * initial_mse):
-            raise DivergenceError(
-                f"training diverged at step {t}: mse={mse} (initial {initial_mse})"
-            )
+        check_divergence("training", t, {"net": mse}, initial_mse,
+                         config.active_eta, T)
         train_mse[t] = mse
         w_move[t] = float(np.linalg.norm(net.W - W0))
         v_move[t] = float(np.linalg.norm(net.v - v0))
@@ -256,12 +276,17 @@ def train(net: TwoLayerNet, dataset, config: TrainConfig, recorder=None,
         if t == T:
             break
         r = u - y
+        # both gradients use the pre-step v and A; v moves first so that A
+        # can be refreshed right after W moves
+        v = net.v
+        if config.eta2 != 0.0:
+            net.v = v - (config.eta2 / (n * sqrt_m)) * (A.T @ r)
         if config.eta1 != 0.0:
             G = phi_prime(net.act, Z)
             net.W = net.W - (config.eta1 / (n * sqrt_md)) * (
-                net.v[:, None] * ((G * r[:, None]).T @ X))
-        if config.eta2 != 0.0:
-            net.v = net.v - (config.eta2 / (n * sqrt_m)) * (A.T @ r)
+                v[:, None] * ((G * r[:, None]).T @ X))
+            Z = preactivations(net, X)
+            A = phi(net.act, Z)
 
     return TrainingTrajectory(steps=steps, train_mse=train_mse, w_move_fro=w_move,
                               v_move_l2=v_move, predictions=preds, final_net=net)

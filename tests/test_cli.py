@@ -196,3 +196,52 @@ def test_decompose_reports_missing_files(tmp_path, capsys):
                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_shape, n_residual, key", [
+    ((5, 8), 5, "/xtest_csv"),    # n_test <= d: no complement to split off
+    ((20, 3), 7, "/residual_csv"),  # one residual per test row
+])
+def test_decompose_bad_shapes_are_config_errors(tmp_path, capsys, x_shape,
+                                                n_residual, key):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "xtest.csv", rng.standard_normal(x_shape), delimiter=",")
+    np.savetxt(tmp_path / "residual.csv", rng.standard_normal(n_residual),
+               delimiter=",")
+    out = tmp_path / "out"
+    code = run(["decompose", "--residual-csv", str(tmp_path / "residual.csv"),
+                "--xtest-csv", str(tmp_path / "xtest.csv"), "--out", str(out)])
+    assert code == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not (out / "decomposition.csv").exists()
+
+
+@pytest.mark.parametrize("eta", ["1e6", "1e300"])  # blows up; overflows to inf
+def test_divergence_aborts_with_a_failure_record(tmp_path, capsys, eta):
+    out = tmp_path / "out"
+    code = run(["agreement", "--eta", eta, "--T", "50", "--d", "10",
+                "--n", "200", "--m", "16", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "diverged at step" in err
+    failure = json.loads((out / "failure.json").read_text(),  # strict JSON
+                         parse_constant=lambda c: pytest.fail(f"JSON has {c}"))
+    assert failure["subcommand"] == "agreement"
+    assert failure["eta"] == float(eta) and failure["T"] == 50
+    assert failure["step"] >= 1
+    assert set(failure["mses"]) == {"net", "lin"}
+    # labels are +-1 and both models start at 0, so the initial MSE is 1 and
+    # the run stops once an MSE passes the divergence factor 1e6
+    worst = max(float(v) for v in failure["mses"].values())
+    assert not math.isfinite(worst) or worst > 1e6
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json"]
+
+
+def test_a_later_successful_run_clears_the_failure_record(tmp_path):
+    out = tmp_path / "out"
+    args = ["agreement", "--T", "4", "--d", "10", "--n", "200", "--m", "16",
+            "--n-test", "0", "--out", str(out)]
+    assert run(args + ["--eta", "1e6"]) == 3
+    assert (out / "failure.json").exists()
+    assert run(args + ["--eta", "0.5"]) == 0
+    assert not (out / "failure.json").exists()

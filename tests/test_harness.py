@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu
+from earlylin import harness
+from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu, phi
 from earlylin.datagen import (
     CovarianceSpec,
     DataSpec,
@@ -12,6 +13,7 @@ from earlylin.datagen import (
     generate_inputs,
 )
 from earlylin.harness import (
+    AgreementRecord,
     CoupledRunConfig,
     LabelSpec,
     cnn_deviation_experiment,
@@ -26,6 +28,7 @@ from earlylin.harness import (
     spectral_decay_experiment,
 )
 from earlylin.kernels import linear_kernel, ntk_full, spectral_norm
+from earlylin.linmodel import features
 from earlylin.network import DivergenceError, gd_step, random_init, symmetric_init
 
 
@@ -99,6 +102,49 @@ def test_coupled_run_stays_in_agreement_over_the_horizon():
 def test_coupled_run_divergence():
     with pytest.raises(DivergenceError, match="diverged"):
         coupled_run(config(T=300, eta=5e4))
+
+
+@pytest.mark.parametrize("mode, per_run", [("second", 1), ("both", None)])
+def test_coupled_run_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
+    cfg = config(mode=mode, n=96, T=5, eta=0.5, n_test=40)
+    calls = rows_per_call(harness, "preactivations", "phi")
+    coupled_run(cfg)
+    want = per_run or cfg.T + 1  # with a record at every step
+    for rows in calls.values():
+        assert rows.count(96) == want and rows.count(40) == want
+        assert len(rows) == 2 * want
+
+
+def test_coupled_run_second_mode_is_regression_on_fixed_features():
+    cfg = config(mode="second", T=8, eta=0.5, n_test=40)
+    n, d = cfg.data.n, cfg.data.d
+    _, _, eta, T, fmap = resolve_run(cfg)
+    X_all = generate_inputs(replace(cfg.data, n=n + cfg.n_test))
+    X, X_test = X_all[:n], X_all[n:]
+    y = make_labels(X, cfg.labels)
+    net = symmetric_init(cfg.m, d, cfg.act, cfg.net_seed)
+    sqrt_m = math.sqrt(cfg.m)
+    A0 = phi(cfg.act, X @ net.W.T / math.sqrt(d))
+    A0_test = phi(cfg.act, X_test @ net.W.T / math.sqrt(d))
+    Psi, Psi_test = features(fmap, X), features(fmap, X_test)
+    v, beta = net.v.copy(), np.zeros(fmap.out_dim)
+    want = []
+    for t in range(T + 1):
+        u_net, u_lin = A0 @ v / sqrt_m, Psi @ beta
+        test_diff = A0_test @ v / sqrt_m - Psi_test @ beta
+        want.append(AgreementRecord(
+            step=t,
+            train_mse_net=float(np.mean((u_net - y) ** 2)),
+            train_mse_lin=float(np.mean((u_lin - y) ** 2)),
+            train_gap=float(np.mean((u_net - u_lin) ** 2)),
+            test_gap_clipped=float(np.mean(np.minimum(test_diff ** 2, 1.0))),
+            w_move_fro=0.0,
+            v_move_l2=float(np.linalg.norm(v - net.v)),
+            beta_norm=float(np.linalg.norm(beta)),
+        ))
+        v = v - (eta / (n * sqrt_m)) * (A0.T @ (u_net - y))
+        beta = beta - (eta / n) * (Psi.T @ (u_lin - y))
+    assert coupled_run(cfg).records == want
 
 
 def test_coupled_run_rejects_bad_configs():
@@ -315,6 +361,15 @@ def test_ablation_helps_relu_on_norm_labels():
     # tracks the network better than the ablated one at most steps
     result = norm_feature_ablation_experiment(ablation_config(d=24, n=400, m=64))
     assert result.fraction_full_below >= 0.8
+
+
+@pytest.mark.parametrize("mode, per_run", [("second", 1), ("both", None)])
+def test_ablation_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
+    cfg = replace(ablation_config(T=5, eta=0.5), mode=mode)
+    calls = rows_per_call(harness, "preactivations", "phi")
+    norm_feature_ablation_experiment(cfg)
+    for rows in calls.values():
+        assert rows == [cfg.data.n] * (per_run or cfg.T + 1)
 
 
 # ------------------------------------------------------------ decay + cnn

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from earlylin import network
 from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, SOFTPLUS, TANH, Activation, phi, phi_prime
 from earlylin.datagen import DataSpec, Dataset, generate_inputs, identity_covariance
 from earlylin.kernels import ntk_first_layer, ntk_second_layer
@@ -367,11 +368,22 @@ def test_train_recorder_sees_every_step():
     assert seen[-1]["w_move_fro"] == traj.w_move_fro[-1]
 
 
+@pytest.mark.parametrize("eta1, per_run", [(0.0, 1), (0.3, None)])
+def test_train_computes_features_only_when_w_moves(rows_per_call, eta1, per_run):
+    ds = small_dataset(n=20, d=5, seed=2)
+    calls = rows_per_call(network, "preactivations", "phi")
+    train(symmetric_init(12, 5, ERF, seed=1), ds, train_config(eta1=eta1, eta2=0.3, T=6))
+    for rows in calls.values():
+        assert rows == [20] * (per_run or 6 + 1)
+
+
 def test_train_divergence_aborts_with_diagnostic():
     ds = small_dataset(n=16, d=4, seed=0)
     net = symmetric_init(8, 4, ERF, seed=1)
-    with pytest.raises(DivergenceError, match="diverged at step"):
+    with pytest.raises(DivergenceError, match="diverged at step") as err:
         train(net, ds, train_config(eta1=1e5, eta2=1e5, T=200))
+    assert 1 <= err.value.step <= 200 and list(err.value.mses) == ["net"]
+    assert err.value.eta == 1e5 and err.value.T == 200
 
 
 def test_weight_movement_stays_within_the_early_time_radius():
