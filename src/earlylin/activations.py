@@ -11,6 +11,7 @@ the effective quadrature order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -98,7 +99,10 @@ def phi_prime(act: Activation, z):
     """Evaluate phi' elementwise; phi'(0) = 1 for the piecewise-linear kinds."""
     z = np.asarray(z, dtype=float)
     if act.kind == "erf":
-        return (2.0 / math.sqrt(math.pi)) * np.exp(-np.square(z))
+        g = np.square(z, out=np.empty_like(z))  # (2/sqrt(pi)) exp(-z^2), one buffer
+        np.exp(np.negative(g, out=g), out=g)
+        g *= 2.0 / math.sqrt(math.pi)
+        return g
     if act.kind == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
@@ -120,8 +124,10 @@ class Quadrature:
     order: int
 
 
+@functools.cache
 def gauss_hermite(order: int) -> Quadrature:
-    """Probabilists' Gauss-Hermite rule, exact for polynomials of degree 2*order-1."""
+    """Probabilists' Gauss-Hermite rule, exact for polynomials of degree 2*order-1.
+    Built once per order and shared (frozen, read-only arrays)."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
     x, w = np.polynomial.hermite.hermgauss(order)

@@ -33,6 +33,7 @@ from .linmodel import FeatureMap, features, naive_map
 from .network import (
     TwoLayerNet,
     check_divergence,
+    mean_squared_error,
     preactivations,
     random_init,
     symmetric_init,
@@ -201,8 +202,8 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
         u_net = A @ net.v / sqrt_m
         u_lin = Psi @ beta
 
-        mse_net = float(np.mean((u_net - y) ** 2))
-        mse_lin = float(np.mean((u_lin - y) ** 2))
+        mse_net = mean_squared_error(u_net, y)
+        mse_lin = mean_squared_error(u_lin, y)
         if initial_mse is None:
             initial_mse = max(mse_net, mse_lin)
         check_divergence("coupled run", t, {"net": mse_net, "lin": mse_lin},
@@ -406,7 +407,7 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
         u_full = Psi_full @ beta_full
         u_naive = Psi_naive @ beta_naive
 
-        mse_net = float(np.mean((u_net - y) ** 2))
+        mse_net = mean_squared_error(u_net, y)
         if initial_mse is None:
             initial_mse = mse_net
         check_divergence("ablation run", t, {"net": mse_net}, initial_mse, eta, T)

@@ -1,6 +1,10 @@
 """Tangent-kernel matrices, their quadrature-based expectations, linear-model
 kernels, the infinite-width CNN kernel on the hypercube, and spectral tooling.
 
+Builders need no symmetrizing pass: Gram products A A^T (one BLAS triangle,
+mirrored), their elementwise products, q q^T and lookups on integer patch
+Grams are exactly symmetric. Spectral norms come from Lanczos.
+
 Two bivariate-Gaussian conventions coexist deliberately: the first-layer
 expected kernel parameterizes the 2x2 covariance by marginal *variances*
 (entries [[a, c], [c, b]]), while the second-layer one parameterizes it by
@@ -33,7 +37,6 @@ PROVENANCES = (
 )
 
 EXPECTED_NTK_MAX_N = 1024
-_POWER_ITER_SEEDS = (0, 1)  # deterministic start + one (fixed-seed) restart
 
 
 @dataclass(frozen=True)
@@ -65,18 +68,15 @@ class DecayFit:
     r_squared: float
 
 
-def _symmetrize(K: np.ndarray) -> np.ndarray:
-    return (K + K.T) / 2.0
-
-
 def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
     """(1/m) sum_r v_r^2 phi'(X w_r/sqrt(d)) phi'(X w_r/sqrt(d))^T  (.)  X X^T/d."""
     from .network import preactivations
     from .activations import phi_prime
 
-    G = phi_prime(net.act, preactivations(net, X)) * net.v[None, :]
+    G = phi_prime(net.act, preactivations(net, X))
+    G *= net.v
     K = ((G @ G.T) / net.m) * (X @ X.T / X.shape[1])
-    return KernelMatrix(values=_symmetrize(K), provenance="ntk1")
+    return KernelMatrix(values=K, provenance="ntk1")
 
 
 def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
@@ -84,7 +84,7 @@ def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
     from .network import jacobian_second_layer
 
     J2 = jacobian_second_layer(net, X)
-    return KernelMatrix(values=_symmetrize(J2 @ J2.T), provenance="ntk2")
+    return KernelMatrix(values=J2 @ J2.T, provenance="ntk2")
 
 
 def ntk_full(net, X: np.ndarray) -> KernelMatrix:
@@ -161,21 +161,20 @@ def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> K
     lin2     : (zeta^2 X X^T + nu^2/2 1 1^T) / d + q q^T
     lin-full : (2 zeta^2 X X^T + 3/2 nu^2 1 1^T) / d + q q^T
     """
-    n, d = X.shape
+    d = X.shape[1]
     G = X @ X.T
-    ones = np.ones((n, n))
     z2, n2 = mom.zeta**2, nu_value**2
     if which == "lin1":
-        K = (z2 * G + n2 * ones) / d
+        K = (z2 * G + n2) / d
     elif which in ("lin2", "lin-full"):
         q = q_vector(X, mom).q
         if which == "lin2":
-            K = (z2 * G + 0.5 * n2 * ones) / d + np.outer(q, q)
+            K = (z2 * G + 0.5 * n2) / d + np.outer(q, q)
         else:
-            K = (2.0 * z2 * G + 1.5 * n2 * ones) / d + np.outer(q, q)
+            K = (2.0 * z2 * G + 1.5 * n2) / d + np.outer(q, q)
     else:
         raise ValueError(f"which must be lin1, lin2 or lin-full, got {which!r}")
-    return KernelMatrix(values=_symmetrize(K), provenance=which)
+    return KernelMatrix(values=K, provenance=which)
 
 
 def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
@@ -185,8 +184,8 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     Entry (i, j) is (1/d) sum_k [ P(rho_ijk) + Q(rho_ijk) rho_ijk ] over the d
     circular patch correlations rho_ijk = <x_i[k:k+q], x_j[k:k+q]>/q, with
     P(rho) = E[phi(z1)phi(z2)] and Q(rho) = E[phi'(z1)phi'(z2)] at unit
-    marginals. Hypercube patches make rho take only q+1 values, so the two
-    scalar functions are tabulated once.
+    marginals. Hypercube patches make rho take only q+1 values, so the summand
+    P(rho) + Q(rho) rho is tabulated once and looked up per patch offset.
     """
     n, d = X.shape
     if not np.all(np.abs(X) == 1.0):
@@ -201,56 +200,36 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     Q_tab = np.array([
         bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
     ])
+    summand = P_tab + Q_tab * rho_values
 
     Xc = np.concatenate([X, X[:, : q_filter - 1]], axis=1) if q_filter > 1 else X
     acc = np.zeros((n, n))
     for k in range(d):
         R = Xc[:, k : k + q_filter] @ Xc[:, k : k + q_filter].T  # integer-valued
-        idx = np.rint((q_filter - R) / 2.0).astype(np.intp)
-        acc += P_tab[idx] + Q_tab[idx] * (R / q_filter)
-    return KernelMatrix(values=_symmetrize(acc / d), provenance="cnn-inf")
+        acc += summand[np.rint((q_filter - R) / 2.0).astype(np.intp)]
+    return KernelMatrix(values=acc / d, provenance="cnn-inf")
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-6, max_iters: int = 20000) -> float:
-    """Largest singular value of a symmetric matrix by power iteration on A^2.
+def spectral_norm(A: np.ndarray) -> float:
+    """max |lambda_i| of a symmetric, possibly indefinite, matrix.
 
-    Iterating on A^2 handles indefinite differences of kernels. Convergence
-    is declared on the eigen-residual ||A^2 v - sigma^2 v|| <= tol*sigma^2,
-    which (for symmetric matrices) bounds how far sigma^2 is from a true
-    eigenvalue of A^2 — unlike the change between successive estimates,
-    which can stall short of the limit when the spectral gap is small. Runs
-    from a deterministic seeded start vector plus one restart; raises if no
-    run converges within max_iters.
+    Lanczos (ARPACK's `eigsh`) for the eigenvalue of largest magnitude, to
+    machine precision, from a fixed seeded start vector: one matrix gives one
+    float on every call, and top eigenvalues of nearly equal magnitude (common
+    in a difference of kernels) do not slow it. Dense `eigvalsh` covers what
+    ARPACK cannot run: n < 3 and the all-zero matrix.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    best = None
-    converged = False
-    for seed in _POWER_ITER_SEEDS:
-        v = np.random.default_rng(seed).standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iters):
-            w = A @ v
-            sigma_sq = float(w @ w)  # = v^T A^2 v with ||v|| = 1
-            if sigma_sq == 0.0:  # v in the null space; restart handles rank-deficiency
-                est = 0.0
-                converged = True
-                break
-            v_new = A @ w  # = A^2 v
-            residual = np.linalg.norm(v_new - sigma_sq * v)
-            v = v_new / np.linalg.norm(v_new)
-            if residual <= tol * sigma_sq:
-                est = math.sqrt(sigma_sq)
-                converged = True
-                break
-        else:
-            continue
-        best = est if best is None else max(best, est)
-    if not converged or best is None:
-        raise RuntimeError(f"power iteration did not converge in {max_iters} iterations")
-    return float(best)
+    n = A.shape[0]
+    if n < 3 or not A.any():
+        return float(np.abs(np.linalg.eigvalsh(A)).max(initial=0.0))
+    from scipy.sparse.linalg import eigsh  # imported on first use: it is slow to load
+
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam = eigsh(A, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(abs(lam[0]))
 
 
 def frobenius_norm(A: np.ndarray) -> float:

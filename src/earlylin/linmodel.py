@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import Moments
-from .network import check_divergence
+from .network import check_divergence, mean_squared_error
 
 MODES = ("first", "second", "both")
 EIGH_MAX_N = 2000
@@ -127,7 +127,7 @@ def lin_gd_train(fmap: FeatureMap, dataset, eta: float, T: int, recorder=None,
     initial_mse = None
     for t in range(T + 1):
         u = Psi @ beta
-        mse = float(np.mean((u - y) ** 2))
+        mse = mean_squared_error(u, y)
         if initial_mse is None:
             initial_mse = mse
         check_divergence("linear GD", t, {"lin": mse}, initial_mse, eta, T)

@@ -36,6 +36,13 @@ class DivergenceError(RuntimeError):
         super().__init__(f"{what} diverged at step {step}: {seen}")
 
 
+def mean_squared_error(u: np.ndarray, y: np.ndarray) -> float:
+    """Per-step training MSE of a GD loop. An overflow gives inf without a
+    numpy warning: `check_divergence` reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean((u - y) ** 2))
+
+
 def check_divergence(what: str, step: int, mses: dict[str, float],
                      initial_mse: float, eta: float, T: int) -> None:
     """Raise DivergenceError if any MSE is non-finite or exceeds
@@ -260,7 +267,7 @@ def train(net: TwoLayerNet, dataset, config: TrainConfig, recorder=None,
     A = phi(net.act, Z)
     for t in range(T + 1):
         u = A @ net.v / sqrt_m
-        mse = float(np.mean((u - y) ** 2))
+        mse = mean_squared_error(u, y)
         if initial_mse is None:
             initial_mse = mse
         check_divergence("training", t, {"net": mse}, initial_mse,

@@ -70,6 +70,17 @@ def test_phi_prime_matches_finite_differences():
                                    err_msg=act.kind)
 
 
+def test_erf_phi_prime_is_the_textbook_expression_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for z in (rng.standard_normal((50, 7)) * 3, np.asfortranarray(rng.standard_normal((6, 9))),
+              np.linspace(-30, 30, 101)):
+        z_before = z.copy()
+        want = (2.0 / math.sqrt(math.pi)) * np.exp(-np.square(z))
+        assert np.array_equal(phi_prime(ERF, z), want)
+        assert np.array_equal(z, z_before)  # the input is not overwritten
+    assert phi_prime(ERF, 0.0) == 2.0 / math.sqrt(math.pi)
+
+
 def test_phi_prime_at_kink_uses_right_limit():
     assert phi_prime(RELU, 0.0) == 1.0
     assert phi_prime(leaky_relu(0.25), 0.0) == 1.0
@@ -97,6 +108,17 @@ def test_gauss_hermite_integrates_moments_exactly():
 def test_gauss_hermite_order_validation(order):
     with pytest.raises(ValueError):
         gauss_hermite(order)
+
+
+def test_gauss_hermite_rule_is_built_once_and_read_only():
+    q = gauss_hermite(64)
+    assert gauss_hermite(64) is q
+    assert not q.nodes.flags.writeable and not q.weights.flags.writeable
+    with pytest.raises(ValueError):
+        q.nodes[0] = 0.0
+    for _ in range(2):  # an invalid order raises on every call, not only the first
+        with pytest.raises(ValueError):
+            gauss_hermite(0)
 
 
 # ------------------------------------------------------------------- moments

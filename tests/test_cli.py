@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,27 @@ def test_a_later_successful_run_clears_the_failure_record(tmp_path):
     assert (out / "failure.json").exists()
     assert run(args + ["--eta", "0.5"]) == 0
     assert not (out / "failure.json").exists()
+
+
+def test_overflow_abort_prints_only_the_abort_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["agreement", "--eta", "1e300", "--T", "5", "--d", "10",
+                    "--n", "200", "--m", "16", "--out", str(out)])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == (f"aborted: coupled run diverged at step 1: net mse=inf, lin mse=inf; "
+                   f"see {out / 'failure.json'}\n")
+
+
+def test_spectral_decay_with_nearly_tied_top_eigenvalues(tmp_path):
+    # at this seed the two largest |eigenvalues| of NTK - lin1 nearly tie,
+    # where a power iteration does not converge in 20000 iterations
+    out = tmp_path / "out"
+    code = run(["spectral-decay", "--seeds", "1", "--seed", "15001", "--n", "1000",
+                "--m", "2000", "--d-list", "8,16,32,64", "--out", str(out)])
+    assert code == 0
+    rows = (out / "norms.csv").read_text().splitlines()
+    assert rows[0] == "d,seed,spectral,frobenius" and len(rows) == 5

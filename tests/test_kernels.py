@@ -4,7 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, TANH, moments, nu, phi, phi_prime
+from earlylin.activations import (
+    ERF,
+    IDENTITY,
+    RELU,
+    SIGMOID,
+    TANH,
+    bivariate_expectation,
+    moments,
+    nu,
+    phi,
+    phi_part,
+    phi_prime,
+    phi_prime_part,
+)
 from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import (
     EXPECTED_NTK_MAX_N,
@@ -27,6 +40,7 @@ from earlylin.network import (
     jacobian_first_layer_apply,
     jacobian_first_layer_transpose_apply,
     jacobian_second_layer,
+    preactivations,
     random_init,
     symmetric_init,
 )
@@ -160,6 +174,29 @@ def test_expected_kernels_agree_with_weight_space_monte_carlo(act):
             prods = Gv[i] * Gv[j]
             se = prods.std(ddof=1) / math.sqrt(draws)
             assert abs(prods.mean() - K2[i, j]) <= 3 * se + 1e-12
+
+
+def williams_erf_kernels(X):
+    """Closed forms of Williams, "Computing with Infinite Networks" (NIPS 1997)
+    for (z_i, z_j) ~ N(0, [[a, c], [c, b]]): E[erf' z_i erf' z_j] (times the
+    data Gram, as in the first-layer kernel) and E[erf z_i erf z_j]."""
+    C = X @ X.T / X.shape[1]
+    a = np.diag(C)
+    P = np.outer(1.0 + 2.0 * a, 1.0 + 2.0 * a)
+    first = C * (4.0 / math.pi) / np.sqrt(P - 4.0 * C**2)
+    second = (2.0 / math.pi) * np.arcsin(2.0 * C / np.sqrt(P))
+    return first, second
+
+
+def test_expected_erf_kernels_match_williams_closed_forms():
+    d = 16
+    X = gaussian(8, d, seed=16)
+    # ||x||^2/d spread over [0.95, 1.05], where 64-point quadrature is good to ~3e-11
+    X *= np.sqrt(np.linspace(0.95, 1.05, 8) * d / np.sum(X**2, axis=1))[:, None]
+    X = np.vstack([X, -X[:1], 0.9 * X[1] + 0.1 * X[2]])  # rho = -1 and rho near 1
+    first, second = williams_erf_kernels(X)
+    np.testing.assert_allclose(expected_ntk_first(X, ERF).values, first, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(expected_ntk_second(X, ERF).values, second, rtol=1e-10, atol=0)
 
 
 def test_expected_kernel_guards():
@@ -298,9 +335,61 @@ def test_spectral_norm_against_dense_eigensolver():
         assert math.isclose(spectral_norm(A), want, rel_tol=1e-6)
 
 
+def dense_spectral_norm(A):
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 300])
+def test_spectral_norm_matches_eigvalsh_to_machine_precision(n):
+    for seed in range(5):
+        A = np.random.default_rng(seed).standard_normal((n, n))
+        A = (A + A.T) / 2
+        assert math.isclose(spectral_norm(A), dense_spectral_norm(A), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same-sign", "opposite-sign"])
+def test_spectral_norm_when_the_top_two_magnitudes_tie(sign):
+    # power iteration on A^2 stalls when |lambda_1| ~ |lambda_2|; the gap here is 1e-4
+    n = 200
+    rng = np.random.default_rng(17)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(-1.0, 1.0, n)
+    lam[:2] = 10.0, sign * 10.0 * (1.0 - 1e-4)
+    A = (Q * lam) @ Q.T
+    A = (A + A.T) / 2
+    assert math.isclose(spectral_norm(A), dense_spectral_norm(A), rel_tol=1e-12)
+    assert math.isclose(spectral_norm(-A), dense_spectral_norm(A), rel_tol=1e-12)
+
+
+def test_spectral_norm_of_a_kernel_difference_matches_eigvalsh():
+    d = 8
+    X = gaussian(300, d, seed=18)
+    mom = moments(ERF)
+    D = (ntk_first_layer(symmetric_init(400, d, ERF, 19), X).values
+         - linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin1").values)
+    assert math.isclose(spectral_norm(D), dense_spectral_norm(D), rel_tol=1e-12)
+
+
+def test_spectral_norm_is_deterministic():
+    A = np.random.default_rng(20).standard_normal((80, 80))
+    A = A + A.T
+    assert spectral_norm(A) == spectral_norm(A.copy())
+
+
+def test_spectral_norm_small_and_degenerate_matrices():
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+    assert spectral_norm(np.array([[-4.0]])) == 4.0
+    assert spectral_norm(np.zeros((300, 300))) == 0.0
+    assert math.isclose(spectral_norm(np.eye(3)), 1.0, rel_tol=1e-12)
+    u = np.arange(1.0, 101.0)
+    assert math.isclose(spectral_norm(-np.outer(u, u)), u @ u, rel_tol=1e-12)
+
+
 def test_spectral_norm_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         spectral_norm(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        spectral_norm(np.ones(3))
 
 
 def test_frobenius_norm_cases():
@@ -338,6 +427,71 @@ def test_decay_fit_guards():
         decay_fit([8, 16, 32], [1.0, 0.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         decay_fit([8, -16, 32], [1.0, 1.0, 2.0])
+
+
+# ------------------------------------ builders equal their plain expressions
+# Each builder computes in place or by table lookup and skips symmetrizing;
+# these pin it to the straightforward expression, symmetrized, bit for bit.
+
+def symmetrized(K):
+    return (K + K.T) / 2.0
+
+
+def layouts(X):
+    return [("C", np.ascontiguousarray(X)), ("F", np.asfortranarray(X))]
+
+
+def test_empirical_kernels_equal_their_plain_expressions_exactly():
+    for act in (ERF, TANH, RELU):
+        net = symmetric_init(40, 6, act, seed=21)
+        for layout, X in layouts(gaussian(30, 6, seed=22)):
+            G = phi_prime(act, preactivations(net, X)) * net.v[None, :]
+            want = symmetrized(((G @ G.T) / net.m) * (X @ X.T / 6))
+            got = ntk_first_layer(net, X).values
+            assert np.array_equal(got, want), (act.kind, layout)
+            assert np.array_equal(got, got.T), (act.kind, layout)
+            J2 = jacobian_second_layer(net, X)
+            got = ntk_second_layer(net, X).values
+            assert np.array_equal(got, symmetrized(J2 @ J2.T)), (act.kind, layout)
+            assert np.array_equal(got, got.T), (act.kind, layout)
+
+
+def test_linear_kernels_equal_their_plain_expressions_exactly():
+    mom = moments(RELU)  # nu and the theta's are nonzero: both added terms count
+    for layout, X in layouts(gaussian(25, 7, seed=23)):
+        nu_val = nu(mom, identity_covariance(7), 7)
+        ones, G = np.ones((25, 25)), X @ X.T
+        z2, n2 = mom.zeta**2, nu_val**2
+        q = q_vector(X, mom).q
+        qq = np.outer(q, q)
+        want = {
+            "lin1": (z2 * G + n2 * ones) / 7,
+            "lin2": (z2 * G + 0.5 * n2 * ones) / 7 + qq,
+            "lin-full": (2.0 * z2 * G + 1.5 * n2 * ones) / 7 + qq,
+        }
+        for which, K in want.items():
+            got = linear_kernel(X, mom, nu_val, which).values
+            assert np.array_equal(got, symmetrized(K)), (which, layout)
+            assert np.array_equal(got, got.T), (which, layout)
+
+
+@pytest.mark.parametrize("act", [ERF, SIGMOID], ids=lambda a: a.kind)
+def test_cnn_kernel_equals_its_plain_expression_exactly(act):
+    n, d, q = 20, 12, 4
+    rho_values = (q - 2.0 * np.arange(q + 1)) / q
+    f, fp = phi_part(act), phi_prime_part(act)
+    P = np.array([bivariate_expectation(f, f, [[1.0, r], [r, 1.0]]) for r in rho_values])
+    Q = np.array([bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]]) for r in rho_values])
+    for layout, X in layouts(hypercube(n, d, seed=24)):
+        Xc = np.concatenate([X, X[:, : q - 1]], axis=1)
+        acc = np.zeros((n, n))
+        for k in range(d):
+            R = Xc[:, k : k + q] @ Xc[:, k : k + q].T
+            idx = np.rint((q - R) / 2.0).astype(np.intp)
+            acc += P[idx] + Q[idx] * (R / q)
+        got = cnn_infinite_ntk(X, q, act).values
+        assert np.array_equal(got, symmetrized(acc / d)), layout
+        assert np.array_equal(got, got.T), layout
 
 
 # ------------------------------------------------------------- persistence
