@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -80,39 +83,152 @@ def leaky_relu(slope: float) -> Activation:
     return Activation("leaky-relu", slope=slope)
 
 
+# Elementwise "into" kernels, (z, out) -> None: each writes phi or phi' of z
+# into out, an array of z's shape, with the ufuncs the values are defined by.
+# A block of z gives the same values as the whole array, element for element.
+
+def _erf_into(z, out):
+    special.erf(z, out=out)
+
+
+def _erf_prime_into(z, out):  # (2/sqrt(pi)) exp(-z^2)
+    np.square(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= 2.0 / math.sqrt(math.pi)
+
+
+def _tanh_into(z, out):
+    np.tanh(z, out=out)
+
+
+def _tanh_prime_into(z, out):  # 1 - tanh(z)^2
+    np.tanh(z, out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+def _sigmoid_into(z, out):
+    special.expit(z, out=out)
+
+
+def _sigmoid_prime_into(z, out):  # s (1 - s)
+    special.expit(z, out=out)
+    out *= 1.0 - out
+
+
+def _softplus_into(z, out):
+    np.logaddexp(0.0, z, out=out)
+
+
+def _piecewise_linear_into(a: float):
+    def into(z, out):  # z for z >= 0, a z otherwise
+        np.multiply(a, z, out=out)
+        np.copyto(out, z, where=z >= 0.0)
+    return into
+
+
+def _piecewise_linear_prime_into(a: float):
+    def into(z, out):  # 1 for z >= 0, a otherwise
+        out.fill(a)
+        np.copyto(out, 1.0, where=z >= 0.0)
+    return into
+
+
+_PHI_INTO = {"erf": _erf_into, "tanh": _tanh_into, "sigmoid": _sigmoid_into,
+             "softplus": _softplus_into}
+_PHI_PRIME_INTO = {"erf": _erf_prime_into, "tanh": _tanh_prime_into,
+                   "sigmoid": _sigmoid_prime_into, "softplus": _sigmoid_into}
+
+# Inputs with fewer elements run serially: handing blocks to threads costs
+# about 0.1 ms. On 2 cores, 2^18 elements is the smallest power of two at
+# which every kernel gains (erf' is the last: 1.13x the serial time at 2^17,
+# 0.66x at 2^18; erf gains from 2^15 on, 0.51x at 2^18).
+PARALLEL_MIN_SIZE = 1 << 18
+
+_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _executor() -> tuple[ThreadPoolExecutor | None, int]:
+    """The shared pool and its size, created on first use; no pool on one core."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size == 0:
+            _pool_size = _usable_cores()
+            if _pool_size > 1:
+                _pool = ThreadPoolExecutor(max_workers=_pool_size - 1,
+                                           thread_name_prefix="earlylin-phi")
+        return _pool, _pool_size
+
+
+def _forget_pool_after_fork() -> None:
+    # The parent's worker threads do not exist in a forked child, and its lock
+    # may have been held at the fork: start afresh.
+    global _pool_lock, _pool, _pool_size
+    _pool_lock, _pool, _pool_size = threading.Lock(), None, 0
+
+
+os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _run_block(into, z, out, errstate: dict, errcall) -> None:
+    # numpy's error state is per thread: a worker starts from the defaults.
+    with np.errstate(call=errcall, **errstate):
+        into(z, out)
+
+
+def _evaluate(into, z) -> np.ndarray:
+    """`into` over z into a fresh array of z's shape and memory layout.
+
+    A contiguous input of at least PARALLEL_MIN_SIZE elements is cut into one
+    contiguous block of its memory per usable core; the caller computes the
+    first block and the pool's threads the others (ufuncs release the GIL),
+    each writing its slice of the one result. Every element goes through the
+    same ufuncs either way, so the result does not depend on the block count.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    contiguous = z.flags.c_contiguous or z.flags.f_contiguous
+    pool, cores = _executor() if contiguous and z.size >= PARALLEL_MIN_SIZE else (None, 1)
+    if pool is None:
+        into(z, out)
+        return out
+    # z and out share one memory order, so these views list the same elements
+    flat_z, flat_out = np.ravel(z, order="K"), np.ravel(out, order="K")
+    cuts = [i * z.size // cores for i in range(cores + 1)]
+    errstate, errcall = np.geterr(), np.geterrcall()
+    futures = [pool.submit(_run_block, into, flat_z[lo:hi], flat_out[lo:hi],
+                           errstate, errcall)
+               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        into(flat_z[:cuts[1]], flat_out[:cuts[1]])
+    finally:
+        wait(futures)  # no worker may still write into out once we return
+    for future in futures:
+        future.result()  # re-raises a worker's exception
+    return out
+
+
 def phi(act: Activation, z):
     """Evaluate the activation elementwise."""
-    z = np.asarray(z, dtype=float)
-    if act.kind == "erf":
-        return special.erf(z)
-    if act.kind == "tanh":
-        return np.tanh(z)
-    if act.kind == "sigmoid":
-        return special.expit(z)
-    if act.kind == "softplus":
-        return np.logaddexp(0.0, z)
-    a = act.negative_slope
-    return np.where(z >= 0.0, z, a * z)
+    into = _PHI_INTO.get(act.kind) or _piecewise_linear_into(act.negative_slope)
+    return _evaluate(into, z)
 
 
 def phi_prime(act: Activation, z):
     """Evaluate phi' elementwise; phi'(0) = 1 for the piecewise-linear kinds."""
-    z = np.asarray(z, dtype=float)
-    if act.kind == "erf":
-        g = np.square(z, out=np.empty_like(z))  # (2/sqrt(pi)) exp(-z^2), one buffer
-        np.exp(np.negative(g, out=g), out=g)
-        g *= 2.0 / math.sqrt(math.pi)
-        return g
-    if act.kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if act.kind == "sigmoid":
-        s = special.expit(z)
-        return s * (1.0 - s)
-    if act.kind == "softplus":
-        return special.expit(z)
-    a = act.negative_slope
-    return np.where(z >= 0.0, 1.0, a)
+    into = (_PHI_PRIME_INTO.get(act.kind)
+            or _piecewise_linear_prime_into(act.negative_slope))
+    return _evaluate(into, z)
 
 
 @dataclass(frozen=True)

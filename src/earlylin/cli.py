@@ -16,12 +16,14 @@ subcommand, the step, the MSEs seen there, eta and T).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from . import __version__
 from .activations import (
     ERF,
     IDENTITY,
+    MAX_ORDER,
     RELU,
     SIGMOID,
     SOFTPLUS,
@@ -37,7 +40,13 @@ from .activations import (
     leaky_relu,
     moments,
 )
-from .datagen import CovarianceSpec, DataSpec, concentration_report, identity_covariance
+from .datagen import (
+    CovarianceSpec,
+    DataSpec,
+    LabelRangeWarning,
+    concentration_report,
+    identity_covariance,
+)
 from .harness import (
     CoupledRunConfig,
     LabelSpec,
@@ -54,6 +63,9 @@ log = logging.getLogger("earlylin")
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
+# `moments` warns when its values move by more than this, relative to the
+# largest of them, from the given quadrature order to twice that order.
+MOMENTS_RTOL = 1e-8
 
 _ACTIVATIONS = {
     "erf": ERF,
@@ -222,6 +234,9 @@ def _semantic_errors(subcommand: str, cfg: dict):
     if "d_list" in cfg:
         if any(d < 1 for d in cfg["d_list"]):
             yield "d_list", f"dimensions must be >= 1, got {cfg['d_list']}"
+    if subcommand == "spectral-decay" and len(set(cfg["d_list"])) < 3:
+        yield "d_list", ("the decay fit needs at least 3 distinct dimensions, "
+                         f"got {cfg['d_list']}")
 
 
 def _regime_warnings(cfg: dict) -> list[str]:
@@ -326,8 +341,21 @@ def _coupled_config(cfg: dict, seed_shift: int = 0) -> CoupledRunConfig:
 
 # ---------------------------------------------------------------- subcommands
 
+def _moment_values(mom) -> list[float]:
+    return [mom.zeta, mom.theta0, mom.theta1, mom.theta2, mom.gamma]
+
+
 def _run_moments(cfg, out_dir):
-    mom = moments(_activation(cfg), cfg["order"])
+    act = _activation(cfg)
+    mom = moments(act, cfg["order"])
+    finer_order = min(2 * mom.quad_order, MAX_ORDER)
+    finer = _moment_values(moments(act, finer_order))
+    change = max(abs(a - b) for a, b in zip(_moment_values(mom), finer))
+    scale = max(abs(v) for v in finer)
+    if change > MOMENTS_RTOL * scale:
+        print(f"warning: the moments move by {change / scale:.1e} of their largest "
+              f"value from quadrature order {mom.quad_order} to {finer_order}; "
+              "a higher --order gives more accurate values", file=sys.stderr)
     payload = {
         "act": cfg["act"],
         "order": mom.quad_order,
@@ -614,6 +642,24 @@ def _merged_raw_config(args: argparse.Namespace) -> tuple[dict, dict | None]:
     return merged, raw_file
 
 
+@contextlib.contextmanager
+def _label_warnings_as_cli_lines():
+    """Print each LabelRangeWarning as the CLI's own `warning: ...` line;
+    other warnings are shown as before."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", LabelRangeWarning)
+        shown = warnings.showwarning
+
+        def show(message, category, *args, **kwargs):
+            if issubclass(category, LabelRangeWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                shown(message, category, *args, **kwargs)
+
+        warnings.showwarning = show
+        yield
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -640,7 +686,8 @@ def run(argv=None) -> int:
         os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
 
     try:
-        checks = _RUNNERS[args.subcommand](cfg, out_dir)
+        with _label_warnings_as_cli_lines():
+            checks = _RUNNERS[args.subcommand](cfg, out_dir)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -114,9 +114,21 @@ class ConcentrationReport:
     gram_spectral_over_n: float  # ||X X^T|| / n
 
 
-def _row_rng(seed: int, domain: int, row: int) -> np.random.Generator:
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (domain << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=row << 128))
+class _RowStreams:
+    """Row i's stream is Philox keyed by (seed, domain), with i in counter
+    words 2-3 and the other words zero. One generator serves every row:
+    `at(i)` resets its state to the start of row i's stream, which draws what
+    a fresh generator built for row i would, at a third of the cost."""
+
+    def __init__(self, seed: int, domain: int):
+        self._bits = np.random.Philox(key=(int(seed) & 0xFFFFFFFFFFFFFFFF) | (domain << 64))
+        self._start = self._bits.state  # counter 0, no buffered output
+        self._rng = np.random.Generator(self._bits)
+
+    def at(self, row: int) -> np.random.Generator:
+        self._start["state"]["counter"][2:] = (row & 0xFFFFFFFFFFFFFFFF, row >> 64)
+        self._bits.state = self._start
+        return self._rng
 
 
 def _base_row(rng: np.random.Generator, base: str, d: int) -> np.ndarray:
@@ -131,8 +143,9 @@ def generate_inputs(spec: DataSpec) -> np.ndarray:
     """Draw X (n x d) with rows Sigma^{1/2} x_bar, x_bar iid per the base law."""
     n, d = spec.n, spec.d
     X = np.empty((n, d))
+    streams = _RowStreams(spec.seed, _DOMAIN_INPUTS)
     for i in range(n):
-        X[i] = _base_row(_row_rng(spec.seed, _DOMAIN_INPUTS, i), spec.base, d)
+        X[i] = _base_row(streams.at(i), spec.base, d)
     if spec.covariance.kind != "identity":
         X *= np.sqrt(spec.covariance.spectrum())[None, :]
     return X
@@ -141,9 +154,9 @@ def generate_inputs(spec: DataSpec) -> np.ndarray:
 def generate_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     """Uniform rows from {-1, +1}^d (entries exactly +-1)."""
     X = np.empty((n, d))
+    streams = _RowStreams(seed, _DOMAIN_HYPERCUBE)
     for i in range(n):
-        rng = _row_rng(seed, _DOMAIN_HYPERCUBE, i)
-        X[i] = 2.0 * rng.integers(0, 2, size=d) - 1.0
+        X[i] = 2.0 * streams.at(i).integers(0, 2, size=d) - 1.0
     return X
 
 

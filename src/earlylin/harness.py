@@ -240,8 +240,8 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
         if eta1 != 0.0:
             A_test = None
             G = phi_prime(net.act, Z)
-            net.W = net.W - (eta1 / (n * sqrt_md)) * (
-                v[:, None] * ((G * r_net[:, None]).T @ X))
+            G *= r_net[:, None]
+            net.W = net.W - (eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
             Z = preactivations(net, X)
             A = phi(net.act, Z)
         beta = beta - (eta / n) * (Psi.T @ (u_lin - y))
@@ -429,8 +429,8 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
             net.v = v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
         if eta1 != 0.0:
             G = phi_prime(net.act, Z)
-            net.W = net.W - (eta1 / (n * sqrt_md)) * (
-                v[:, None] * ((G * r_net[:, None]).T @ X))
+            G *= r_net[:, None]
+            net.W = net.W - (eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
             Z = preactivations(net, X)
             A = phi(net.act, Z)
         beta_full = beta_full - (eta / n) * (Psi_full.T @ (u_full - y))

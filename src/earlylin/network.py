@@ -172,7 +172,9 @@ def preactivations(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     """X W^T / sqrt(d), shape (n, m)."""
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X has shape {X.shape}, expected (n, {net.d})")
-    return X @ net.W.T / math.sqrt(net.d)
+    Z = X @ net.W.T
+    Z /= math.sqrt(net.d)
+    return Z
 
 
 def forward(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
@@ -290,8 +292,8 @@ def train(net: TwoLayerNet, dataset, config: TrainConfig, recorder=None,
             net.v = v - (config.eta2 / (n * sqrt_m)) * (A.T @ r)
         if config.eta1 != 0.0:
             G = phi_prime(net.act, Z)
-            net.W = net.W - (config.eta1 / (n * sqrt_md)) * (
-                v[:, None] * ((G * r[:, None]).T @ X))
+            G *= r[:, None]
+            net.W = net.W - (config.eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
             Z = preactivations(net, X)
             A = phi(net.act, Z)
 

@@ -7,11 +7,18 @@ fixed-seed Monte Carlo where no closed form exists.
 """
 
 import math
+import multiprocessing
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 
+from earlylin import activations
 from earlylin.activations import (
     ERF,
     IDENTITY,
@@ -92,6 +99,196 @@ def test_softplus_is_overflow_safe():
     assert phi(SOFTPLUS, -800.0) == 0.0
 
 
+# ------------------------------------------------- blocked (threaded) evaluation
+
+def expression_phi(act, z):
+    """phi as the whole-array expressions that define it."""
+    if act.kind == "erf":
+        return special.erf(z)
+    if act.kind == "tanh":
+        return np.tanh(z)
+    if act.kind == "sigmoid":
+        return special.expit(z)
+    if act.kind == "softplus":
+        return np.logaddexp(0.0, z)
+    return np.where(z >= 0.0, z, act.negative_slope * z)
+
+
+def expression_phi_prime(act, z):
+    """phi' as the whole-array expressions that define it."""
+    if act.kind == "erf":
+        return (2.0 / math.sqrt(math.pi)) * np.exp(-np.square(z))
+    if act.kind == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    if act.kind == "sigmoid":
+        s = special.expit(z)
+        return s * (1.0 - s)
+    if act.kind == "softplus":
+        return special.expit(z)
+    return np.where(z >= 0.0, 1.0, act.negative_slope)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def evaluate_with(blocks, threshold, f, act, z):
+    """f(act, z) cut into `blocks` blocks from `threshold` elements on."""
+    pool, _ = activations._executor()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(activations, "PARALLEL_MIN_SIZE", threshold)
+        if pool is not None:
+            mp.setattr(activations, "_executor", lambda: (pool, blocks))
+        return f(act, z)
+
+
+SERIAL = 1 << 62  # a threshold no input reaches
+SHAPES = [(), (1,), (2,), (7,), (3, 5, 7), (1001, 257), (1001, 263),
+          (activations.PARALLEL_MIN_SIZE - 1,), (activations.PARALLEL_MIN_SIZE,)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(act=st.sampled_from(ALL_ACTS + [leaky_relu(-0.5), leaky_relu(2.5)]),
+       shape=st.sampled_from(SHAPES),
+       fortran=st.booleans(), blocks=st.integers(1, 7),
+       small_threshold=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_evaluation_is_bit_identical_to_the_serial_kernel(
+        act, shape, fortran, blocks, small_threshold, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(shape) * 4.0
+    if z.ndim:  # the kink of the pw-linear kinds, with both signs of zero
+        z.flat[:: max(1, z.size // 5)] = 0.0
+        z.flat[1:: max(2, z.size // 5)] = -0.0
+    z = np.asfortranarray(z) if fortran else np.ascontiguousarray(z)
+    z_before = z.copy()
+    threshold = 1 if small_threshold else activations.PARALLEL_MIN_SIZE
+    for f, expression in ((phi, expression_phi), (phi_prime, expression_phi_prime)):
+        serial = evaluate_with(1, SERIAL, f, act, z)
+        blocked = evaluate_with(blocks, threshold, f, act, z)
+        assert same_bits(blocked, serial), (act.kind, f.__name__)
+        assert same_bits(serial, expression(act, z)), (act.kind, f.__name__)
+        assert blocked.flags.f_contiguous == z.flags.f_contiguous
+        assert same_bits(z, z_before)  # the input is untouched
+
+
+def test_non_contiguous_input_gives_the_same_values():
+    z = np.random.default_rng(8).standard_normal((600, 1000))[:, ::2]
+    got = evaluate_with(3, 1, phi, ERF, z)
+    assert same_bits(got, special.erf(z))
+
+
+def test_large_inputs_use_every_usable_core():
+    _, cores = activations._executor()
+    assert cores == len(activations.os.sched_getaffinity(0))
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        real = activations._erf_into
+
+        def spy(z, out):
+            seen.add(threading.get_ident())
+            real(z, out)
+
+        mp.setitem(activations._PHI_INTO, "erf", spy)
+        phi(ERF, np.ones(activations.PARALLEL_MIN_SIZE))
+        assert len(seen) == cores
+        seen.clear()
+        phi(ERF, np.ones(activations.PARALLEL_MIN_SIZE - 1))
+        assert seen == {threading.get_ident()}  # small: the caller alone
+
+
+def overflowing_erf_input():
+    z = np.zeros(activations.PARALLEL_MIN_SIZE + 11)
+    z[-1] = 1e200  # in the last block: a pool thread squares it
+    return z
+
+
+@pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_worker_threads_run_under_the_callers_error_state(act, blocks):
+    z = np.full(activations.PARALLEL_MIN_SIZE + 11, 1e200)
+    outcomes = []
+    for b, threshold in ((1, SERIAL), (blocks, 1)):
+        with np.errstate(over="raise"):
+            try:
+                evaluate_with(b, threshold, phi_prime, act, z)
+                outcomes.append("returned")
+            except FloatingPointError:
+                outcomes.append("raised")
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("raised" if act.kind == "erf" else "returned")
+
+
+def test_a_worker_exception_reaches_the_caller():
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        evaluate_with(4, 1, phi_prime, ERF, overflowing_erf_input())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore"):
+            got = evaluate_with(4, 1, phi_prime, ERF, overflowing_erf_input())
+    assert caught == [] and got[-1] == 0.0
+
+
+def _phi_in_child(queue):
+    z = np.linspace(-3.0, 3.0, activations.PARALLEL_MIN_SIZE + 3)
+    queue.put(same_bits(phi(ERF, z), special.erf(z)))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs fork")
+def test_a_forked_child_can_use_the_pool():
+    phi(ERF, np.zeros(activations.PARALLEL_MIN_SIZE))  # the parent's pool exists
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_phi_in_child, args=(queue,))
+    child.start()
+    try:
+        ok = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert ok is True
+    assert not child.is_alive() and child.exitcode == 0
+
+
+def test_the_pool_is_created_once_under_concurrent_first_calls(monkeypatch):
+    created = []
+
+    class CountingPool(activations.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(activations, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(activations, "_pool", None)
+    monkeypatch.setattr(activations, "_pool_size", 0)
+    z = np.random.default_rng(4).standard_normal(activations.PARALLEL_MIN_SIZE)
+    want = special.erf(z)
+    results = [None] * 6  # more callers than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(len(results))
+
+        def call(i):
+            barrier.wait()
+            results[i] = phi(ERF, z)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert all(r is not None and same_bits(r, want) for r in results)
+    assert len(created) == (1 if len(activations.os.sched_getaffinity(0)) > 1 else 0)
+
+
 # ---------------------------------------------------------------- quadrature
 
 def test_gauss_hermite_integrates_moments_exactly():
@@ -124,14 +321,18 @@ def test_gauss_hermite_rule_is_built_once_and_read_only():
 # ------------------------------------------------------------------- moments
 
 def test_erf_moments_closed_form():
-    m = moments(ERF)
+    m = moments(ERF)  # the default order, 64
     # E[erf'(g)] = (2/sqrt(pi)) E[exp(-g^2)] = 2/sqrt(3 pi)
     np.testing.assert_allclose(m.zeta, 2.0 / math.sqrt(3.0 * math.pi), rtol=1e-12)
-    # E[erf'(g)^2] = (4/pi) E[exp(-2 g^2)] = 4/(pi sqrt(5))
-    np.testing.assert_allclose(m.gamma, 4.0 / (math.pi * math.sqrt(5.0)), rtol=1e-10)
-    assert abs(m.theta0) < 1e-10
-    assert abs(m.theta1) < 1e-10
-    assert abs(m.theta2) < 1e-10
+    # E[erf'(g)^2] = (4/pi) E[exp(-2 g^2)] = 4/(pi sqrt(5)); the 64-point rule
+    # is 9e-12 off here, the 128-point rule exact to rounding
+    gamma = 4.0 / (math.pi * math.sqrt(5.0))
+    np.testing.assert_allclose(m.gamma, gamma, rtol=1e-11)
+    np.testing.assert_allclose(moments(ERF, 128).gamma, gamma, rtol=1e-12)
+    # erf is odd and erf' even, so every theta vanishes
+    assert abs(m.theta0) < 1e-12
+    assert abs(m.theta1) < 1e-12
+    assert abs(m.theta2) < 1e-12
 
 
 def test_relu_moments_closed_form():

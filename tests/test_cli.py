@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,8 +55,8 @@ def test_comfortable_sample_size_does_not_warn():
 
 
 def test_d_list_accepts_comma_separated_strings():
-    cfg, _ = validate_config("spectral-decay", {"d_list": "8,12"})
-    assert cfg["d_list"] == [8, 12]
+    cfg, _ = validate_config("spectral-decay", {"d_list": "8,12,16"})
+    assert cfg["d_list"] == [8, 12, 16]
 
 
 def test_semantic_checks():
@@ -270,3 +274,42 @@ def test_spectral_decay_with_nearly_tied_top_eigenvalues(tmp_path):
     assert code == 0
     rows = (out / "norms.csv").read_text().splitlines()
     assert rows[0] == "d,seed,spectral,frobenius" and len(rows) == 5
+
+
+def test_spectral_decay_needs_three_distinct_dimensions(tmp_path, capsys):
+    code = run(["spectral-decay", "--d-list", "1,2", "--n", "5", "--m", "4",
+                "--seeds", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: /d_list: the decay fit needs at least 3 distinct "
+        "dimensions, got [1, 2]\n")
+    with pytest.raises(ConfigError):
+        validate_config("spectral-decay", {"d_list": [8, 8, 16]})
+    validate_config("spectral-decay", {"d_list": [8, 16, 32]})
+
+
+def test_label_range_warnings_print_in_the_cli_format(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "earlylin.cli", "norm-ablation", "--mode", "second",
+         "--d", "20", "--n", "300", "--m", "32", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines), proc.stderr
+    assert any("norm-dependent labels fall outside [-1, 1]" in line for line in lines)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == []  # the manifest holds the config's warnings only
+
+
+def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
+    assert run(["moments", "--act", "erf", "--order", "2", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: the moments move by ")
+    assert "from quadrature order 2 to 4" in err[0]
+    for act in ("erf", "relu", "sigmoid"):  # converged at the default order
+        assert run(["moments", "--act", act, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""

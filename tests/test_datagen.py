@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from earlylin.activations import ERF
+from earlylin import datagen
 from earlylin.datagen import (
     CovarianceSpec,
     DataSpec,
@@ -97,6 +98,45 @@ def test_hypercube_entries_and_determinism():
     assert set(np.unique(X)) == {-1.0, 1.0}
     np.testing.assert_array_equal(X, generate_hypercube(64, 9, seed=2))
     np.testing.assert_array_equal(X[:16], generate_hypercube(16, 9, seed=2))
+
+
+def fresh_row_generator(seed, domain, row):
+    """Row `row`'s stream as its own generator: Philox keyed by (seed, domain)
+    with the row index in counter words 2-3."""
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (domain << 64)
+    return np.random.Generator(np.random.Philox(key=key, counter=row << 128))
+
+
+@pytest.mark.parametrize("base", ["gaussian", "rademacher", "uniform-scaled"])
+@pytest.mark.parametrize("seed", [0, 17, -3])
+def test_inputs_equal_a_fresh_generator_per_row(base, seed):
+    n, d = 300, 7
+    want = np.empty((n, d))
+    for i in range(n):
+        rng = fresh_row_generator(seed, 1, i)
+        if base == "gaussian":
+            want[i] = rng.standard_normal(d)
+        elif base == "rademacher":
+            want[i] = 2.0 * rng.integers(0, 2, size=d) - 1.0
+        else:
+            want[i] = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=d)
+    assert np.array_equal(generate_inputs(spec(n, d, base=base, seed=seed)), want)
+
+
+@pytest.mark.parametrize("seed", [0, 17, -3])
+def test_hypercube_equals_a_fresh_generator_per_row(seed):
+    n, d = 300, 9
+    want = np.array([2.0 * fresh_row_generator(seed, 2, i).integers(0, 2, size=d) - 1.0
+                     for i in range(n)])
+    assert np.array_equal(generate_hypercube(n, d, seed), want)
+
+
+def test_row_streams_restart_after_partial_draws_and_past_2_64():
+    streams = datagen._RowStreams(5, 1)
+    for row in (3, 2**64 + 3, 3, 0):
+        streams.at(row).integers(0, 2, size=3)  # leaves buffered output behind
+        got = streams.at(row).standard_normal(4)
+        assert np.array_equal(got, fresh_row_generator(5, 1, row).standard_normal(4))
 
 
 def test_input_and_hypercube_streams_are_decoupled():
