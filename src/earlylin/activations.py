@@ -34,6 +34,8 @@ _PL_KINDS = ("relu", "leaky-relu", "identity")
 DEFAULT_ORDER_SMOOTH = 64
 DEFAULT_ORDER_PIECEWISE = 128
 MAX_ORDER = 256
+# The kink halves the effective quadrature order of a piecewise-linear kind.
+PIECEWISE_MIN_ORDER = 64
 
 # E[g * 1{g>0}] for g ~ N(0,1); the basic half-Gaussian moment.
 _HALF_MOMENT = 1.0 / math.sqrt(2.0 * math.pi)
@@ -295,9 +297,9 @@ def moments(act: Activation, order: int | None = None) -> Moments:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
     if act.smoothness == PIECEWISE_LINEAR:
-        if order < 64:
+        if order < PIECEWISE_MIN_ORDER:
             raise ValueError(
-                "piecewise-linear activations require order >= 64 "
+                f"piecewise-linear activations require order >= {PIECEWISE_MIN_ORDER} "
                 f"(got {order}); the kink halves the quadrature order"
             )
         a = act.negative_slope

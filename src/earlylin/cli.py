@@ -10,7 +10,8 @@ byte-identical files.
 Exit codes: 0 all configured assertions pass, 1 an assertion failed
 (data files are still written), 2 configuration error, 3 a training run
 diverged (the run is aborted; `failure.json` beside the manifest records the
-subcommand, the step, the MSEs seen there, eta and T).
+subcommand, the step, the MSEs seen there, eta and T, and the records CSV
+holds the rows recorded before the failing step).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -32,6 +34,8 @@ from .activations import (
     ERF,
     IDENTITY,
     MAX_ORDER,
+    PIECEWISE_LINEAR,
+    PIECEWISE_MIN_ORDER,
     RELU,
     SIGMOID,
     SOFTPLUS,
@@ -48,6 +52,8 @@ from .datagen import (
     identity_covariance,
 )
 from .harness import (
+    AblationRecord,
+    AgreementRecord,
     CoupledRunConfig,
     LabelSpec,
     cnn_deviation_experiment,
@@ -217,6 +223,8 @@ def _semantic_errors(subcommand: str, cfg: dict):
             yield key, f"must be >= 1, got {cfg[key]}"
     if cfg.get("m") is not None and cfg["m"] % 2 != 0:
         yield "m", "width must be even (symmetric initialization)"
+    if cfg.get("act") == "leaky-relu" and not math.isfinite(cfg["slope"]):
+        yield "slope", f"must be finite, got {cfg['slope']}"
     if cfg.get("T") is not None and cfg["T"] < 0:
         yield "T", f"must be >= 0, got {cfg['T']}"
     if cfg.get("eta") is not None and cfg["eta"] <= 0:
@@ -225,6 +233,11 @@ def _semantic_errors(subcommand: str, cfg: dict):
         yield "horizon_c", f"must be > 0, got {cfg['horizon_c']}"
     if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= 256:
         yield "order", f"must be in [1, 256], got {cfg['order']}"
+    elif (subcommand == "moments" and cfg["order"] is not None
+          and cfg["order"] < PIECEWISE_MIN_ORDER
+          and Activation(cfg["act"]).smoothness == PIECEWISE_LINEAR):
+        yield "order", (f"piecewise-linear activations need order >= "
+                        f"{PIECEWISE_MIN_ORDER}, got {cfg['order']}")
     if subcommand == "cnn-ntk" and cfg["q"] > cfg["d"]:
         yield "q", f"filter size q={cfg['q']} exceeds d={cfg['d']}"
     if subcommand == "decompose":
@@ -302,6 +315,20 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         for row in rows:
             writer.writerow([FLOAT_FMT % v if isinstance(v, float) else v
                              for v in row])
+
+
+def _recorded_run(run, config, path: str, record_type):
+    """Return run(config) and write its records to `path`, one column per
+    field of `record_type`; if the run diverges, write the records made
+    before the failing step and re-raise."""
+    header = [f.name for f in dataclasses.fields(record_type)]
+    try:
+        result = run(config)
+    except DivergenceError as exc:
+        _write_csv(path, header, map(dataclasses.astuple, exc.records))
+        raise
+    _write_csv(path, header, map(dataclasses.astuple, result.records))
+    return result
 
 
 class Assertion:
@@ -420,17 +447,12 @@ def _run_agreement(cfg, out_dir):
     summary_rows = []
     for k in range(cfg["seeds"]):
         run_cfg = _coupled_config(cfg, seed_shift=k)
-        result = coupled_run(run_cfg)
         seed = cfg["seed"] + k
+        result = _recorded_run(coupled_run, run_cfg,
+                               os.path.join(out_dir, f"agreement_seed{seed}.csv"),
+                               AgreementRecord)
         log.info("agreement seed %d: eta=%g T=%d records=%d",
                  seed, result.eta, result.T, len(result.records))
-        _write_csv(
-            os.path.join(out_dir, f"agreement_seed{seed}.csv"),
-            ["step", "train_mse_net", "train_mse_lin", "train_gap",
-             "test_gap_clipped", "w_move_fro", "v_move_l2", "beta_norm"],
-            [(r.step, r.train_mse_net, r.train_mse_lin, r.train_gap,
-              r.test_gap_clipped, r.w_move_fro, r.v_move_l2, r.beta_norm)
-             for r in result.records])
         max_train = max(r.train_gap for r in result.records)
         max_test = max(r.test_gap_clipped for r in result.records)
         max_w = max(r.w_move_fro for r in result.records)
@@ -528,10 +550,8 @@ def _run_concentration(cfg, out_dir):
 
 def _run_norm_ablation(cfg, out_dir):
     run_cfg = _coupled_config(cfg | {"labels": "norm", "seeds": 1, "n_test": 0})
-    result = norm_feature_ablation_experiment(run_cfg)
-    _write_csv(os.path.join(out_dir, "ablation.csv"),
-               ["step", "disc_full", "disc_naive"],
-               [(r.step, r.disc_full, r.disc_naive) for r in result.records])
+    result = _recorded_run(norm_feature_ablation_experiment, run_cfg,
+                           os.path.join(out_dir, "ablation.csv"), AblationRecord)
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["eta", "T", "fraction_full_below"],
                [(result.eta, result.T, result.fraction_full_below)])

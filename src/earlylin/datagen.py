@@ -30,7 +30,15 @@ _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # Unif[-sqrt(3), sqrt(3)] has variance 1
 
 
 class LabelRangeWarning(UserWarning):
-    """Raised when generated labels fall outside [-1, 1]."""
+    """Issued when generated or loaded labels fall outside [-1, 1]; they are
+    kept raw."""
+
+
+def _warn_label_range(y: np.ndarray, what: str) -> None:
+    n_out = int(np.sum(np.abs(y) > 1.0))
+    if n_out:
+        warnings.warn(f"{n_out} of {y.size} {what} fall outside [-1, 1]; kept raw",
+                      LabelRangeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -173,14 +181,7 @@ def labels_norm_dependent(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     d = X.shape[1]
     y = np.linalg.norm(X, axis=1) / math.sqrt(d) + np.maximum(X @ a, 0.0)
-    n_out = int(np.sum(np.abs(y) > 1.0))
-    if n_out:
-        warnings.warn(
-            f"{n_out} of {y.size} norm-dependent labels fall outside [-1, 1]; "
-            "kept raw (loaders enforce the range, generators do not)",
-            LabelRangeWarning,
-            stacklevel=2,
-        )
+    _warn_label_range(y, "norm-dependent labels")
     return y
 
 
@@ -209,7 +210,11 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv; rejects malformed rows and |y| > 1."""
+    """Read a dataset written by save_csv.
+
+    Rejects malformed rows and non-finite fields with their line number;
+    labels outside [-1, 1] are kept, with a LabelRangeWarning.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -229,14 +234,11 @@ def load_csv(path) -> Dataset:
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if abs(values[-1]) > 1.0:
-                raise ValueError(
-                    f"{path}: line {lineno}: label {values[-1]} outside [-1, 1]"
-                )
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite field")
             rows.append(values[:-1])
             labels.append(values[-1])
-    return Dataset(
-        X=np.asarray(rows, dtype=float),
-        y=np.asarray(labels, dtype=float),
-        provenance={"source": str(path)},
-    )
+    y = np.asarray(labels, dtype=float)
+    _warn_label_range(y, f"labels in {path}")
+    return Dataset(X=np.asarray(rows, dtype=float), y=y,
+                   provenance={"source": str(path)})

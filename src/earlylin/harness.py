@@ -29,13 +29,13 @@ from .kernels import (
     ntk_first_layer,
     spectral_norm,
 )
-from .linmodel import FeatureMap, features, naive_map
+from .linmodel import FeatureMap, LinearTrainable, features, naive_map
 from .network import (
+    NetTrainable,
     TwoLayerNet,
-    check_divergence,
-    mean_squared_error,
     preactivations,
     random_init,
+    run_lockstep,
     symmetric_init,
 )
 
@@ -182,72 +182,33 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
     X, X_test = X_all[:n], X_all[n:]
     y = make_labels(X, config.labels)
 
-    net = symmetric_init(config.m, d, config.act, config.net_seed)
-    W0, v0 = net.W.copy(), net.v.copy()
-    sqrt_m = math.sqrt(net.m)
-    sqrt_md = math.sqrt(net.m * d)
-
-    Psi = features(fmap, X)
+    init = symmetric_init(config.m, d, config.act, config.net_seed)
+    net = NetTrainable(init, X, eta1, eta2, X_test)
+    lin = LinearTrainable(features(fmap, X), eta)
     Psi_test = features(fmap, X_test)
-    beta = np.zeros(fmap.out_dim)
 
-    records: list[AgreementRecord] = []
-    initial_mse = None
-    # Z, A and A_test depend on W only: they are recomputed only when W moves,
-    # A_test lazily at the next record step.
-    Z = preactivations(net, X)
-    A = phi(net.act, Z)
-    A_test = None
-    for t in range(T + 1):
-        u_net = A @ net.v / sqrt_m
-        u_lin = Psi @ beta
+    def record(t, u, mse):
+        if config.n_test > 0:
+            f_net_test = net.test_outputs()
+            f_lin_test = Psi_test @ lin.beta
+            test_gap = float(np.mean(np.minimum((f_net_test - f_lin_test) ** 2, 1.0)))
+        else:
+            test_gap = 0.0
+        return AgreementRecord(
+            step=t,
+            train_mse_net=mse["net"],
+            train_mse_lin=mse["lin"],
+            train_gap=float(np.mean((u["net"] - u["lin"]) ** 2)),
+            test_gap_clipped=test_gap,
+            w_move_fro=float(np.linalg.norm(net.net.W - init.W)),
+            v_move_l2=float(np.linalg.norm(net.net.v - init.v)),
+            beta_norm=float(np.linalg.norm(lin.beta)),
+        )
 
-        mse_net = mean_squared_error(u_net, y)
-        mse_lin = mean_squared_error(u_lin, y)
-        if initial_mse is None:
-            initial_mse = max(mse_net, mse_lin)
-        check_divergence("coupled run", t, {"net": mse_net, "lin": mse_lin},
-                         initial_mse, eta, T)
-
-        if t % config.record_stride == 0 or t == T:
-            if config.n_test > 0:
-                if A_test is None:
-                    A_test = phi(net.act, preactivations(net, X_test))
-                f_net_test = A_test @ net.v / sqrt_m
-                f_lin_test = Psi_test @ beta
-                test_gap = float(np.mean(np.minimum((f_net_test - f_lin_test) ** 2, 1.0)))
-            else:
-                test_gap = 0.0
-            records.append(AgreementRecord(
-                step=t,
-                train_mse_net=mse_net,
-                train_mse_lin=mse_lin,
-                train_gap=float(np.mean((u_net - u_lin) ** 2)),
-                test_gap_clipped=test_gap,
-                w_move_fro=float(np.linalg.norm(net.W - W0)),
-                v_move_l2=float(np.linalg.norm(net.v - v0)),
-                beta_norm=float(np.linalg.norm(beta)),
-            ))
-        if t == T:
-            break
-
-        r_net = u_net - y
-        # both gradients use the pre-step v and A; v moves first so that A
-        # can be refreshed right after W moves
-        v = net.v
-        if eta2 != 0.0:
-            net.v = v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
-        if eta1 != 0.0:
-            A_test = None
-            G = phi_prime(net.act, Z)
-            G *= r_net[:, None]
-            net.W = net.W - (eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
-            Z = preactivations(net, X)
-            A = phi(net.act, Z)
-        beta = beta - (eta / n) * (Psi.T @ (u_lin - y))
-
+    records = run_lockstep("coupled run", {"net": net, "lin": lin}, y, eta, T,
+                           record, config.record_stride)
     return CoupledRunResult(records=records, eta=eta, T=T, mode=config.mode,
-                            final_net=net, final_beta=beta)
+                            final_net=net.net, final_beta=lin.beta)
 
 
 @dataclass
@@ -382,60 +343,27 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
     the constant theta0; everything else (data, rate, steps) is shared, so
     any gap difference is attributable to the norm feature.
     """
-    d, n = config.data.d, config.data.n
     mom, nu_val, eta, T, fmap = resolve_run(config)
     eta1, eta2 = _mode_rates(config.mode, eta)
-    fmap_naive = naive_map(fmap)
 
     X = generate_inputs(config.data)
     y = make_labels(X, config.labels)
-    net = symmetric_init(config.m, d, config.act, config.net_seed)
-    sqrt_m, sqrt_md = math.sqrt(net.m), math.sqrt(net.m * d)
+    init = symmetric_init(config.m, config.data.d, config.act, config.net_seed)
+    models = {
+        "net": NetTrainable(init, X, eta1, eta2),
+        "full": LinearTrainable(features(fmap, X), eta),
+        "naive": LinearTrainable(features(naive_map(fmap), X), eta),
+    }
 
-    Psi_full = features(fmap, X)
-    Psi_naive = features(fmap_naive, X)
-    beta_full = np.zeros(fmap.out_dim)
-    beta_naive = np.zeros(fmap_naive.out_dim)
+    def record(t, u, mse):
+        return AblationRecord(
+            step=t,
+            disc_full=float(np.mean((u["net"] - u["full"]) ** 2)),
+            disc_naive=float(np.mean((u["net"] - u["naive"]) ** 2)),
+        )
 
-    records: list[AblationRecord] = []
-    initial_mse = None
-    # Z and A depend on W only, so they are recomputed only when W moves.
-    Z = preactivations(net, X)
-    A = phi(net.act, Z)
-    for t in range(T + 1):
-        u_net = A @ net.v / sqrt_m
-        u_full = Psi_full @ beta_full
-        u_naive = Psi_naive @ beta_naive
-
-        mse_net = mean_squared_error(u_net, y)
-        if initial_mse is None:
-            initial_mse = mse_net
-        check_divergence("ablation run", t, {"net": mse_net}, initial_mse, eta, T)
-
-        if t % config.record_stride == 0 or t == T:
-            records.append(AblationRecord(
-                step=t,
-                disc_full=float(np.mean((u_net - u_full) ** 2)),
-                disc_naive=float(np.mean((u_net - u_naive) ** 2)),
-            ))
-        if t == T:
-            break
-
-        r_net = u_net - y
-        # both gradients use the pre-step v and A; v moves first so that A
-        # can be refreshed right after W moves
-        v = net.v
-        if eta2 != 0.0:
-            net.v = v - (eta2 / (n * sqrt_m)) * (A.T @ r_net)
-        if eta1 != 0.0:
-            G = phi_prime(net.act, Z)
-            G *= r_net[:, None]
-            net.W = net.W - (eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
-            Z = preactivations(net, X)
-            A = phi(net.act, Z)
-        beta_full = beta_full - (eta / n) * (Psi_full.T @ (u_full - y))
-        beta_naive = beta_naive - (eta / n) * (Psi_naive.T @ (u_naive - y))
-
+    records = run_lockstep("ablation run", models, y, eta, T, record,
+                           config.record_stride)
     below = sum(1 for r in records if r.disc_full < r.disc_naive)
     return AblationResult(records=records,
                           fraction_full_below=below / len(records),

@@ -15,7 +15,6 @@ the two `expected_ntk_*` builders below.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from .activations import (
     phi_part,
     phi_prime_part,
 )
+from .linmodel import norm_feature
 
 PROVENANCES = (
     "ntk1", "ntk2", "ntk-full",
@@ -51,14 +51,6 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class QVector:
-    """Per-point norm feature q_i = theta0 + theta1 (s_i - 1) + theta2 (s_i - 1)^2
-    with s_i = ||x_i|| / sqrt(d)."""
-
-    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,18 +140,14 @@ def expected_ntk_second(X: np.ndarray, act: Activation, order: int = 64) -> Kern
     return KernelMatrix(values=_expected_ntk_entries(X, entry), provenance="expected-ntk2")
 
 
-def q_vector(X: np.ndarray, mom: Moments) -> QVector:
-    d = X.shape[1]
-    dev = np.linalg.norm(X, axis=1) / math.sqrt(d) - 1.0
-    return QVector(q=mom.theta0 + mom.theta1 * dev + mom.theta2 * dev**2)
-
-
 def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> KernelMatrix:
     """Kernels of the explicit linear feature maps.
 
     lin1     : (zeta^2 X X^T + nu^2 1 1^T) / d
     lin2     : (zeta^2 X X^T + nu^2/2 1 1^T) / d + q q^T
     lin-full : (2 zeta^2 X X^T + 3/2 nu^2 1 1^T) / d + q q^T
+
+    with q the norm feature of `linmodel.features`.
     """
     d = X.shape[1]
     G = X @ X.T
@@ -167,7 +155,7 @@ def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> K
     if which == "lin1":
         K = (z2 * G + n2) / d
     elif which in ("lin2", "lin-full"):
-        q = q_vector(X, mom).q
+        q = norm_feature(mom, X)
         if which == "lin2":
             K = (z2 * G + 0.5 * n2) / d + np.outer(q, q)
         else:
@@ -256,12 +244,3 @@ def decay_fit(ds, norms) -> DecayFit:
         r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
     return DecayFit(slope=float(slope), intercept=float(intercept),
                     r_squared=min(max(r2, 0.0), 1.0))
-
-
-def save_kernel_csv(K: KernelMatrix, csv_path) -> None:
-    """Dense CSV of the values plus a JSON sidecar recording provenance."""
-    np.savetxt(csv_path, K.values, delimiter=",", fmt="%.17g")
-    sidecar = str(csv_path) + ".json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"provenance": K.provenance, "n": K.n}, fh, indent=2)
-        fh.write("\n")

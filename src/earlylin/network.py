@@ -1,4 +1,4 @@
-"""Two-layer fully-connected network, 1-D circular CNN, and full-batch GD.
+"""Two-layer fully-connected network, 1-D circular CNN, and the lockstep GD driver.
 
 The fully-connected model is f(x; W, v) = (1/sqrt(m)) v . phi(W x / sqrt(d))
 with W of shape (m, d) and v of +-1 entries at init. Symmetric initialization
@@ -10,7 +10,6 @@ entries); the second-layer Jacobian is small enough to materialize.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,32 +24,35 @@ class DivergenceError(RuntimeError):
     """Training loss became non-finite or blew up past the divergence factor.
 
     `step` is the step at which the check failed, `mses` the training MSE of
-    each model seen there (by name: "net", "lin", ...), and `eta`, `T` the
-    learning rate and horizon of the run.
+    each model seen there (by name: "net", "lin", ...), `eta`, `T` the
+    learning rate and horizon of the run, and `records` the rows the run
+    recorded before the failing step.
     """
 
     def __init__(self, what: str, step: int, mses: dict[str, float],
-                 eta: float, T: int):
+                 eta: float, T: int, records=()):
         self.step, self.mses, self.eta, self.T = step, dict(mses), eta, T
+        self.records = list(records)
         seen = ", ".join(f"{name} mse={value}" for name, value in self.mses.items())
         super().__init__(f"{what} diverged at step {step}: {seen}")
 
 
 def mean_squared_error(u: np.ndarray, y: np.ndarray) -> float:
-    """Per-step training MSE of a GD loop. An overflow gives inf without a
+    """Per-step training MSE of a model. An overflow gives inf without a
     numpy warning: `check_divergence` reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.mean((u - y) ** 2))
 
 
 def check_divergence(what: str, step: int, mses: dict[str, float],
-                     initial_mse: float, eta: float, T: int) -> None:
+                     initial_mse: float, eta: float, T: int,
+                     records: list) -> None:
     """Raise DivergenceError if any MSE is non-finite or exceeds
     DIVERGENCE_FACTOR times the initial MSE."""
     worst = max(mses.values())
     if (not all(math.isfinite(v) for v in mses.values())
             or (initial_mse > 0 and worst > DIVERGENCE_FACTOR * initial_mse)):
-        raise DivergenceError(what, step, mses, eta, T)
+        raise DivergenceError(what, step, mses, eta, T, records)
 
 
 @dataclass
@@ -97,43 +99,6 @@ class Cnn1D:
 
     def copy(self) -> "Cnn1D":
         return Cnn1D(W=self.W.copy(), V=self.V.copy(), act=self.act)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Learning rates and step count; T can come from the c*d*log(d)/eta rule."""
-
-    eta1: float = 0.0
-    eta2: float = 0.0
-    T: int | None = None
-    horizon_c: float | None = None
-
-    def __post_init__(self):
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise ValueError("learning rates must be >= 0")
-        if self.T is None and self.horizon_c is None:
-            raise ValueError("either T or horizon_c must be given")
-        if self.T is not None and self.T < 0:
-            raise ValueError("T must be >= 0")
-
-    @property
-    def active_eta(self) -> float:
-        """The learning rate that sets the horizon (eta1 unless only eta2 > 0)."""
-        return self.eta1 if self.eta1 > 0 else self.eta2
-
-    def steps(self, d: int) -> int:
-        if self.T is not None:
-            return self.T
-        if self.active_eta <= 0:
-            raise ValueError("horizon rule needs a positive learning rate")
-        return max(1, int(self.horizon_c * d * math.log(d) / self.active_eta))
-
-
-def horizon_steps(c: float, d: int, eta: float) -> int:
-    """T = c * d * log(d) / eta, floored, at least 1."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return max(1, int(c * d * math.log(d) / eta))
 
 
 # Distinct seed domains so nets constructed from the same integer seed by
@@ -220,99 +185,79 @@ def loss_gradients(net: TwoLayerNet, X: np.ndarray, y: np.ndarray):
     return grad_W, grad_v
 
 
-def gd_step(net: TwoLayerNet, X: np.ndarray, y: np.ndarray,
-            eta1: float, eta2: float) -> TwoLayerNet:
-    """One full-batch GD step; frozen layers (rate 0) are left untouched."""
-    grad_W, grad_v = loss_gradients(net, X, y)
-    W = net.W - eta1 * grad_W if eta1 != 0.0 else net.W
-    v = net.v - eta2 * grad_v if eta2 != 0.0 else net.v
-    return TwoLayerNet(W=W, v=v, act=net.act)
+class NetTrainable:
+    """The network as a model of `run_lockstep`: full-batch GD on W at rate
+    eta1 and on v at rate eta2 (a rate of 0 freezes its layer).
 
-
-@dataclass
-class TrainingTrajectory:
-    steps: np.ndarray          # 0..T
-    train_mse: np.ndarray
-    w_move_fro: np.ndarray     # ||W(t) - W(0)||_F
-    v_move_l2: np.ndarray      # ||v(t) - v(0)||
-    predictions: np.ndarray | None  # (T+1, n) if kept
-    final_net: TwoLayerNet
-
-
-def train(net: TwoLayerNet, dataset, config: TrainConfig, recorder=None,
-          keep_predictions: bool = False) -> TrainingTrajectory:
-    """Full-batch GD for config.steps(d) steps, recording every step.
-
-    The recorder (if given) is called with a dict per step:
-    {step, train_mse, predictions, w_move_fro, v_move_l2}. Aborts with
-    DivergenceError when the loss goes non-finite or exceeds 1e6x its
-    initial value.
+    Z = X W^T / sqrt(d) and A = phi(Z) depend on W only, so they are
+    recomputed only right after W moves. The test-set features are computed
+    on first use and dropped when W moves, before phi' is computed, so stale
+    ones never take memory during a step. v moves before W, and the W
+    gradient uses the pre-step v.
     """
-    X, y = dataset.X, dataset.y
-    if config.eta1 == 0.0 and config.eta2 == 0.0 and config.steps(net.d) > 0:
-        raise ValueError("a training run needs a positive learning rate")
-    T = config.steps(net.d)
-    n = X.shape[0]
-    net = net.copy()
-    W0, v0 = net.W.copy(), net.v.copy()
 
-    steps = np.arange(T + 1)
-    train_mse = np.empty(T + 1)
-    w_move = np.empty(T + 1)
-    v_move = np.empty(T + 1)
-    preds = np.empty((T + 1, n)) if keep_predictions else None
+    def __init__(self, net: TwoLayerNet, X: np.ndarray, eta1: float, eta2: float,
+                 X_test: np.ndarray | None = None):
+        if eta1 < 0 or eta2 < 0 or eta1 == eta2 == 0.0:
+            raise ValueError("a training run needs a positive learning rate and "
+                             f"no negative one, got eta1={eta1}, eta2={eta2}")
+        self.net = net.copy()
+        self.X, self.X_test, self.eta1, self.eta2 = X, X_test, eta1, eta2
+        self._sqrt_m = math.sqrt(net.m)
+        self._sqrt_md = math.sqrt(net.m * net.d)
+        self._Z = preactivations(self.net, X)
+        self._A = phi(net.act, self._Z)
+        self._A_test = None
 
-    initial_mse = None
-    sqrt_m, sqrt_md = math.sqrt(net.m), math.sqrt(net.m * net.d)
-    # Z and A depend on W only, so they are recomputed only when W moves.
-    Z = preactivations(net, X)
-    A = phi(net.act, Z)
-    for t in range(T + 1):
-        u = A @ net.v / sqrt_m
-        mse = mean_squared_error(u, y)
-        if initial_mse is None:
-            initial_mse = mse
-        check_divergence("training", t, {"net": mse}, initial_mse,
-                         config.active_eta, T)
-        train_mse[t] = mse
-        w_move[t] = float(np.linalg.norm(net.W - W0))
-        v_move[t] = float(np.linalg.norm(net.v - v0))
-        if preds is not None:
-            preds[t] = u
-        if recorder is not None:
-            recorder({"step": t, "train_mse": mse, "predictions": u,
-                      "w_move_fro": w_move[t], "v_move_l2": v_move[t]})
-        if t == T:
-            break
-        r = u - y
-        # both gradients use the pre-step v and A; v moves first so that A
-        # can be refreshed right after W moves
-        v = net.v
-        if config.eta2 != 0.0:
-            net.v = v - (config.eta2 / (n * sqrt_m)) * (A.T @ r)
-        if config.eta1 != 0.0:
-            G = phi_prime(net.act, Z)
+    def outputs(self) -> np.ndarray:
+        return self._A @ self.net.v / self._sqrt_m
+
+    def test_outputs(self) -> np.ndarray:
+        if self._A_test is None:
+            self._A_test = phi(self.net.act, preactivations(self.net, self.X_test))
+        return self._A_test @ self.net.v / self._sqrt_m
+
+    def step(self, r: np.ndarray) -> None:
+        net, X, v = self.net, self.X, self.net.v
+        n = X.shape[0]
+        if self.eta2 != 0.0:
+            net.v = v - (self.eta2 / (n * self._sqrt_m)) * (self._A.T @ r)
+        if self.eta1 != 0.0:
+            self._A_test = None
+            G = phi_prime(net.act, self._Z)
             G *= r[:, None]
-            net.W = net.W - (config.eta1 / (n * sqrt_md)) * (v[:, None] * (G.T @ X))
-            Z = preactivations(net, X)
-            A = phi(net.act, Z)
-
-    return TrainingTrajectory(steps=steps, train_mse=train_mse, w_move_fro=w_move,
-                              v_move_l2=v_move, predictions=preds, final_net=net)
+            net.W = net.W - (self.eta1 / (n * self._sqrt_md)) * (v[:, None] * (G.T @ X))
+            self._Z = preactivations(net, X)
+            self._A = phi(net.act, self._Z)
 
 
-def save_trajectory(traj: TrainingTrajectory, csv_path, json_path=None,
-                    config: dict | None = None, seed: int | None = None) -> None:
-    """CSV schema: step,train_mse,w_move_fro,v_move_l2 (+ JSON config echo)."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("step,train_mse,w_move_fro,v_move_l2\n")
-        for t in range(len(traj.steps)):
-            fh.write(f"{traj.steps[t]},{traj.train_mse[t]:.17g},"
-                     f"{traj.w_move_fro[t]:.17g},{traj.v_move_l2[t]:.17g}\n")
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"config": config or {}, "seed": seed}, fh, indent=2)
-            fh.write("\n")
+def run_lockstep(what: str, models: dict, y: np.ndarray, eta: float, T: int,
+                 record, stride: int = 1) -> list:
+    """Full-batch GD of every model (name -> trainable) on the labels y, in
+    lockstep for T steps; returns the rows `record` made.
+
+    A trainable has `outputs()`, its current predictions on the training
+    set, and `step(r)`, one GD step from the residual r = outputs - y. At
+    each step t = 0..T the driver takes every model's outputs and MSE,
+    checks them for divergence against the largest step-0 MSE, appends
+    `record(t, outputs, mses)` (both dicts by model name) to the rows when
+    t % stride == 0 or t == T, and then steps every model. A DivergenceError
+    carries the rows recorded before the failing step.
+    """
+    rows = []
+    initial_mse = None
+    for t in range(T + 1):
+        outputs = {name: model.outputs() for name, model in models.items()}
+        mses = {name: mean_squared_error(u, y) for name, u in outputs.items()}
+        if initial_mse is None:
+            initial_mse = max(mses.values())
+        check_divergence(what, t, mses, initial_mse, eta, T, rows)
+        if t % stride == 0 or t == T:
+            rows.append(record(t, outputs, mses))
+        if t < T:
+            for name, model in models.items():
+                model.step(outputs[name] - y)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from earlylin.activations import (
 )
 from earlylin.datagen import (
     DataSpec,
-    Dataset,
     concentration_report,
     generate_inputs,
     identity_covariance,
@@ -43,7 +42,7 @@ from earlylin.harness import (
     spectral_decay_experiment,
 )
 from earlylin.kernels import expected_ntk_first, expected_ntk_second
-from earlylin.linmodel import FeatureMap, features, lin_gd_train, closed_form_trajectory
+from earlylin.linmodel import FeatureMap, LinearTrainable, closed_form_trajectory, features
 from earlylin.network import (
     Cnn1D,
     TwoLayerNet,
@@ -53,6 +52,7 @@ from earlylin.network import (
     forward,
     loss_gradients,
     random_init,
+    run_lockstep,
     symmetric_init,
 )
 
@@ -149,10 +149,11 @@ def test_criterion_05_closed_form_matches_iterative_gd():
                               nu=nu(mom, identity_covariance(d), d), d=d)
             K = features(fmap, X) @ features(fmap, X).T
             eta = 0.9 * n / float(np.linalg.eigvalsh(K)[-1])
-            traj = lin_gd_train(fmap, Dataset(X, y), eta, 500,
-                                keep_predictions=True)
+            lin = LinearTrainable(features(fmap, X), eta)
+            iterative = run_lockstep("linear GD", {"lin": lin}, y, eta, 500,
+                                     lambda t, u, mse: u["lin"])
             closed = closed_form_trajectory(K, y, eta, range(501))
-            worst = max(worst, float(np.max(np.abs(traj.predictions - closed))))
+            worst = max(worst, float(np.max(np.abs(np.array(iterative) - closed))))
         print(f"max |iterative - closed form| over 20 instances: {worst:.2e}")
         assert worst <= 1e-8
 

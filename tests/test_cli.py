@@ -239,7 +239,29 @@ def test_divergence_aborts_with_a_failure_record(tmp_path, capsys, eta):
     # the run stops once an MSE passes the divergence factor 1e6
     worst = max(float(v) for v in failure["mses"].values())
     assert not math.isfinite(worst) or worst > 1e6
-    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json"]
+    # the rows recorded before the failing step are kept; no summary
+    assert sorted(p.name for p in out.iterdir()) == [
+        "agreement_seed1.csv", "failure.json", "manifest.json"]
+
+
+@pytest.mark.parametrize("eta", ["1e6", "50"])  # diverges at step 1; a few steps on
+@pytest.mark.parametrize("subcommand, records_csv, models", [
+    ("agreement", "agreement_seed1.csv", {"net", "lin"}),
+    ("norm-ablation", "ablation.csv", {"net", "full", "naive"}),
+])
+def test_divergence_keeps_the_rows_recorded_before_the_failing_step(
+        tmp_path, capsys, subcommand, records_csv, models, eta):
+    args = [subcommand, "--eta", eta, "--d", "10", "--n", "200", "--m", "16"]
+    assert run(args + ["--T", "50", "--out", str(tmp_path / "diverged")]) == 3
+    failure = json.loads((tmp_path / "diverged" / "failure.json").read_text())
+    assert set(failure["mses"]) == models and failure["step"] >= 1
+    assert sorted(p.name for p in (tmp_path / "diverged").iterdir()) == sorted(
+        [records_csv, "failure.json", "manifest.json"])
+    # the same run stopped just before the failing step writes the same rows
+    stopped = tmp_path / "stopped"
+    assert run(args + ["--T", str(failure["step"] - 1), "--out", str(stopped)]) == 0
+    assert ((tmp_path / "diverged" / records_csv).read_bytes()
+            == (stopped / records_csv).read_bytes())
 
 
 def test_a_later_successful_run_clears_the_failure_record(tmp_path):
@@ -303,6 +325,39 @@ def test_label_range_warnings_print_in_the_cli_format(tmp_path):
     assert any("norm-dependent labels fall outside [-1, 1]" in line for line in lines)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["warnings"] == []  # the manifest holds the config's warnings only
+
+
+def test_moments_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
+    # `earlylin moments --act relu --order 2`, exactly as a user types it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "earlylin.cli", "moments", "--act", "relu", "--order", "2"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: /order: piecewise-linear activations need "
+                           "order >= 64, got 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("act, order, code", [
+    ("leaky-relu", 63, 2), ("identity", 1, 2), ("relu", 64, 0), ("erf", 2, 0)])
+def test_moments_order_floor_applies_to_piecewise_kinds_only(tmp_path, capsys, act,
+                                                             order, code):
+    assert run(["moments", "--act", act, "--order", str(order),
+                "--out", str(tmp_path)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "config error: /order: piecewise-linear activations need order >= 64, "
+            f"got {order}\n")
+
+
+def test_non_finite_leaky_relu_slope_is_a_config_error(tmp_path, capsys):
+    assert run(["moments", "--act", "leaky-relu", "--slope", "inf",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: /slope: must be finite, got inf\n"
+    validate_config("moments", {"act": "erf", "slope": "nan"})  # unused: no error
 
 
 def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):

@@ -241,10 +241,34 @@ def test_load_rejects_non_numeric_with_line_number(tmp_path):
         load_csv(path)
 
 
-def test_load_rejects_out_of_range_label(tmp_path):
+def test_load_warns_on_out_of_range_label(tmp_path):
     path = tmp_path / "range.csv"
-    path.write_text("x1,y\n0.1,1.5\n")
-    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+    path.write_text("x1,y\n0.1,1.5\n0.2,-0.5\n")
+    with pytest.warns(LabelRangeWarning, match=r"1 of 2 labels .* outside \[-1, 1\]; kept raw"):
+        ds = load_csv(path)
+    np.testing.assert_array_equal(ds.y, [1.5, -0.5])
+
+
+def test_saved_norm_labels_load_back_unchanged(tmp_path):
+    X = generate_inputs(spec(50, 4, seed=7))
+    with pytest.warns(LabelRangeWarning):
+        y = labels_norm_dependent(X, np.array([0.5, 0.0, 0.0, 0.0]))
+    path = tmp_path / "norm.csv"
+    save_csv(Dataset(X=X, y=y), path)
+    with pytest.warns(LabelRangeWarning):
+        back = load_csv(path)
+    np.testing.assert_array_equal(back.X, X)
+    np.testing.assert_array_equal(back.y, y)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_load_rejects_non_finite_fields_with_line_number(tmp_path, field, column):
+    row = ["0.3", "0.4"]
+    row[column] = field
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x1,y\n0.1,0.2\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match="line 3: non-finite"):
         load_csv(path)
 
 

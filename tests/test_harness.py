@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from earlylin import harness
+from earlylin import network
 from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu, phi
 from earlylin.datagen import (
     CovarianceSpec,
@@ -29,7 +29,13 @@ from earlylin.harness import (
 )
 from earlylin.kernels import linear_kernel, ntk_full, spectral_norm
 from earlylin.linmodel import features
-from earlylin.network import DivergenceError, gd_step, random_init, symmetric_init
+from earlylin.network import (
+    DivergenceError,
+    NetTrainable,
+    random_init,
+    run_lockstep,
+    symmetric_init,
+)
 
 
 def config(mode="both", d=16, n=256, m=64, act=ERF, seed=0, **kw):
@@ -104,10 +110,12 @@ def test_coupled_run_divergence():
         coupled_run(config(T=300, eta=5e4))
 
 
-@pytest.mark.parametrize("mode, per_run", [("second", 1), ("both", None)])
+@pytest.mark.parametrize("mode, per_run", [("second", 1), ("first", None), ("both", None)])
 def test_coupled_run_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
-    cfg = config(mode=mode, n=96, T=5, eta=0.5, n_test=40)
-    calls = rows_per_call(harness, "preactivations", "phi")
+    # norm labels: a teacher's forward pass would add a call of its own
+    cfg = config(mode=mode, n=96, T=5, eta=0.5, n_test=40,
+                 labels=LabelSpec(kind="norm"))
+    calls = rows_per_call(network, "preactivations", "phi")
     coupled_run(cfg)
     want = per_run or cfg.T + 1  # with a record at every step
     for rows in calls.values():
@@ -226,11 +234,9 @@ def test_probe_with_identity_activation_sees_zero_deviation():
     d = 8
     X = generate_inputs(DataSpec(identity_covariance(d), "gaussian", 30, 0))
     y = np.random.default_rng(0).standard_normal(30)
-    net = random_init(16, d, IDENTITY, 0)
-    snapshots = [net.copy()]
-    for _ in range(3):
-        net = gd_step(net, X, y, eta1=2.0, eta2=0.0)
-        snapshots.append(net.copy())
+    model = NetTrainable(random_init(16, d, IDENTITY, 0), X, eta1=2.0, eta2=0.0)
+    snapshots = run_lockstep("training", {"net": model}, y, 2.0, 3,
+                             lambda t, u, mse: model.net.copy())
     assert np.any(snapshots[-1].W != snapshots[0].W)
     K_lin = X @ X.T / d  # zeta = 1, nu = 0
     for probe in jacobian_deviation_probe(snapshots, X, K_lin, mode="first"):
@@ -271,12 +277,14 @@ def test_probe_deviation_stays_small_over_an_erf_training_run():
     mom = moments(ERF)
     eta = default_learning_rate("first", d, n, mom)
     T = max(1, int(0.25 * d * math.log(d) / eta))
-    net = symmetric_init(m, d, ERF, seed=6)
-    snapshots = [net.copy()]
-    for t in range(1, T + 1):
-        net = gd_step(net, X, y, eta1=eta, eta2=0.0)
-        if t in (T // 2, T):
-            snapshots.append(net.copy())
+    model = NetTrainable(symmetric_init(m, d, ERF, seed=6), X, eta1=eta, eta2=0.0)
+    snapshots = []
+
+    def record(t, u, mse):
+        if t in (0, T // 2, T):
+            snapshots.append(model.net.copy())
+
+    run_lockstep("training", {"net": model}, y, eta, T, record)
     K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin1")
     probes = jacobian_deviation_probe(snapshots, X, K_lin, mode="first")
     assert all(p.eps_over_n_d <= 0.2 for p in probes)
@@ -363,10 +371,10 @@ def test_ablation_helps_relu_on_norm_labels():
     assert result.fraction_full_below >= 0.8
 
 
-@pytest.mark.parametrize("mode, per_run", [("second", 1), ("both", None)])
+@pytest.mark.parametrize("mode, per_run", [("second", 1), ("first", None), ("both", None)])
 def test_ablation_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
     cfg = replace(ablation_config(T=5, eta=0.5), mode=mode)
-    calls = rows_per_call(harness, "preactivations", "phi")
+    calls = rows_per_call(network, "preactivations", "phi")
     norm_feature_ablation_experiment(cfg)
     for rows in calls.values():
         assert rows == [cfg.data.n] * (per_run or cfg.T + 1)

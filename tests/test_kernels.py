@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -32,10 +31,9 @@ from earlylin.kernels import (
     ntk_first_layer,
     ntk_full,
     ntk_second_layer,
-    q_vector,
-    save_kernel_csv,
     spectral_norm,
 )
+from earlylin.linmodel import norm_feature
 from earlylin.network import (
     jacobian_first_layer_apply,
     jacobian_first_layer_transpose_apply,
@@ -226,7 +224,7 @@ def test_linear_kernel_erf_on_hypercube_drops_the_norm_feature():
     X = hypercube(8, 16, seed=6)
     mom = moments(ERF)
     nu_val = nu(mom, identity_covariance(16), 16)
-    q = q_vector(X, mom).q
+    q = norm_feature(mom, X)
     assert np.max(np.abs(q)) <= 1e-10  # theta's vanish for erf (up to quadrature)
     K2 = linear_kernel(X, mom, nu_val, "lin2").values
     np.testing.assert_allclose(
@@ -266,7 +264,7 @@ def test_linear_kernel_rejects_unknown_variant():
 
 def test_q_vector_is_constant_on_the_hypercube():
     mom = moments(SIGMOID)
-    q = q_vector(hypercube(7, 12, seed=9), mom).q
+    q = norm_feature(mom, hypercube(7, 12, seed=9))
     np.testing.assert_array_equal(q, np.full(7, mom.theta0))
 
 
@@ -462,7 +460,7 @@ def test_linear_kernels_equal_their_plain_expressions_exactly():
         nu_val = nu(mom, identity_covariance(7), 7)
         ones, G = np.ones((25, 25)), X @ X.T
         z2, n2 = mom.zeta**2, nu_val**2
-        q = q_vector(X, mom).q
+        q = norm_feature(mom, X)
         qq = np.outer(q, q)
         want = {
             "lin1": (z2 * G + n2 * ones) / 7,
@@ -494,19 +492,6 @@ def test_cnn_kernel_equals_its_plain_expression_exactly(act):
         assert np.array_equal(got, got.T), layout
 
 
-# ------------------------------------------------------------- persistence
-
 def test_kernel_matrix_rejects_unknown_provenance():
     with pytest.raises(ValueError, match="provenance"):
         KernelMatrix(values=np.eye(2), provenance="mystery")
-
-
-def test_save_kernel_csv_roundtrip(tmp_path):
-    net = random_init(10, 4, ERF, seed=14)
-    K = ntk_full(net, gaussian(6, 4, seed=15))
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, K.values)  # %.17g is lossless
-    sidecar = json.loads((tmp_path / "kernel.csv.json").read_text())
-    assert sidecar == {"provenance": "ntk-full", "n": 6}

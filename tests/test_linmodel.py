@@ -1,27 +1,31 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from earlylin.activations import ERF, RELU, SIGMOID, TANH, moments, nu
+from earlylin.activations import (
+    ERF,
+    IDENTITY,
+    RELU,
+    SIGMOID,
+    SOFTPLUS,
+    TANH,
+    leaky_relu,
+    moments,
+    nu,
+)
 from earlylin.datagen import DataSpec, Dataset, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import linear_kernel
 from earlylin.linmodel import (
     FeatureMap,
-    LinearModel,
-    closed_form_predictions,
+    LinearTrainable,
     closed_form_trajectory,
     features,
-    lin_gd_train,
-    min_norm_solution,
     naive_map,
     norm_feature,
-    predict,
-    save_trajectory,
-    zero_model,
 )
-from earlylin.network import DivergenceError
+from earlylin.network import DivergenceError, run_lockstep
 
 
 def gaussian(n, d, seed=0):
@@ -79,6 +83,23 @@ def test_feature_gram_equals_the_linear_kernel(which, kernel):
     np.testing.assert_allclose(Psi @ Psi.T, K, atol=1e-12)
 
 
+KINDS = [ERF, TANH, SIGMOID, SOFTPLUS, RELU, IDENTITY, leaky_relu(0.2)]
+MODE_KERNELS = {"first": "lin1", "second": "lin2", "both": "lin-full"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(act=st.sampled_from(KINDS), which=st.sampled_from(list(MODE_KERNELS)),
+       n=st.integers(1, 30), d=st.integers(1, 12), scale=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_feature_gram_is_the_linear_kernel_in_every_mode(act, which, n, d, scale, seed):
+    # linear_kernel and features share the one norm feature q(x)
+    fm = fmap(which, act, d)
+    X = scale * np.random.default_rng(seed).standard_normal((n, d))
+    Psi = features(fm, X)
+    K = linear_kernel(X, fm.moments, fm.nu, MODE_KERNELS[which]).values
+    np.testing.assert_allclose(Psi @ Psi.T, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+
+
 def test_features_single_vector_matches_batch_row():
     fm = fmap("both", TANH, d=5)
     X = gaussian(4, 5, seed=4)
@@ -90,14 +111,6 @@ def test_features_rejects_wrong_dimension():
         features(fmap("first", d=5), gaussian(3, 4))
 
 
-def test_model_validation_and_zero_model():
-    fm = fmap("second", d=4)
-    with pytest.raises(ValueError, match="beta"):
-        LinearModel(map=fm, beta=np.zeros(3))
-    z = zero_model(fm)
-    np.testing.assert_array_equal(predict(z, gaussian(6, 4)), np.zeros(6))
-
-
 def test_naive_map_freezes_the_norm_feature():
     fm = fmap("second", RELU, d=6)
     ablated = naive_map(fm)
@@ -106,9 +119,9 @@ def test_naive_map_freezes_the_norm_feature():
     assert ablated.moments.zeta == fm.moments.zeta
     assert ablated.nu == fm.nu
     X = gaussian(20, 6, seed=5)
-    np.testing.assert_array_equal(norm_feature(ablated, X),
+    np.testing.assert_array_equal(norm_feature(ablated.moments, X),
                                   np.full(20, fm.moments.theta0))
-    assert np.std(norm_feature(fm, X)) > 0  # the full map actually varies
+    assert np.std(norm_feature(fm.moments, X)) > 0  # the full map actually varies
 
 
 # ----------------------------------------------------------------- training
@@ -118,30 +131,58 @@ def dataset(n=24, d=6, seed=0):
     return Dataset(X=X, y=np.tanh(X @ np.arange(1.0, d + 1) / d))
 
 
+def lin_gd_train(fm, ds, eta, T, stride=1):
+    """Run the driver on one linear model from beta = 0; returns (records, model)."""
+    model = LinearTrainable(features(fm, ds.X), eta)
+
+    def record(t, u, mse):
+        return {"step": t, "beta_norm": float(np.linalg.norm(model.beta)), "u": u["lin"]}
+
+    return run_lockstep("linear GD", {"lin": model}, ds.y, eta, T, record, stride), model
+
+
 def test_lin_gd_zero_steps_and_zero_labels():
     fm = fmap("both", d=6)
     ds = dataset()
-    traj = lin_gd_train(fm, ds, eta=0.5, T=0, keep_predictions=True)
-    np.testing.assert_array_equal(traj.predictions[0], np.zeros(24))
+    records, _ = lin_gd_train(fm, ds, eta=0.5, T=0)
+    assert len(records) == 1
+    np.testing.assert_array_equal(records[0]["u"], np.zeros(24))
     zeros = Dataset(X=ds.X, y=np.zeros(24))
-    traj = lin_gd_train(fm, zeros, eta=0.5, T=10)
-    np.testing.assert_array_equal(traj.final_model.beta, np.zeros(fm.out_dim))
+    _, model = lin_gd_train(fm, zeros, eta=0.5, T=10)
+    np.testing.assert_array_equal(model.beta, np.zeros(fm.out_dim))
 
 
 def test_lin_gd_requires_positive_eta_and_detects_divergence():
     fm = fmap("first", d=6)
     with pytest.raises(ValueError, match="eta"):
         lin_gd_train(fm, dataset(), eta=0.0, T=5)
-    with pytest.raises(DivergenceError, match="diverged"):
+    with pytest.raises(DivergenceError, match="diverged") as err:
         lin_gd_train(fm, dataset(), eta=1e7, T=500)
+    assert list(err.value.mses) == ["lin"]
+    assert [r["step"] for r in err.value.records] == list(range(err.value.step))
 
 
 def test_lin_gd_recorder_stream():
-    seen = []
-    lin_gd_train(fmap("second", d=6), dataset(), eta=0.3, T=3, recorder=seen.append)
-    assert [rec["step"] for rec in seen] == [0, 1, 2, 3]
-    assert seen[0]["beta_norm"] == 0.0
-    assert seen[-1]["predictions"].shape == (24,)
+    records, _ = lin_gd_train(fmap("second", d=6), dataset(), eta=0.3, T=3)
+    assert [rec["step"] for rec in records] == [0, 1, 2, 3]
+    assert records[0]["beta_norm"] == 0.0
+    assert records[-1]["u"].shape == (24,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(act=st.sampled_from(KINDS), which=st.sampled_from(list(MODE_KERNELS)),
+       n=st.integers(2, 40), d=st.integers(1, 8), step=st.floats(0.05, 0.95),
+       T=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_driver_linear_predictions_follow_the_closed_form(act, which, n, d, step, T, seed):
+    rng = np.random.default_rng(seed)
+    fm = fmap(which, act, d)
+    ds = Dataset(X=rng.standard_normal((n, d)), y=rng.standard_normal(n))
+    K = linear_kernel(ds.X, fm.moments, fm.nu, MODE_KERNELS[which])
+    eta = step * n / max(float(np.linalg.eigvalsh(K.values)[-1]), 1e-300)
+    records, _ = lin_gd_train(fm, ds, eta=eta, T=T)
+    closed = closed_form_trajectory(K, ds.y, eta, range(T + 1))
+    got = np.array([r["u"] for r in records])
+    np.testing.assert_allclose(got, closed, rtol=0, atol=1e-9 * max(1.0, np.abs(ds.y).max()))
 
 
 @pytest.mark.parametrize("which", ["first", "second", "both"])
@@ -150,9 +191,9 @@ def test_iterative_training_matches_the_closed_form(which):
     ds = dataset(n=32, d=6, seed=7)
     K = linear_kernel(ds.X, fm.moments, fm.nu, {"first": "lin1", "second": "lin2",
                                                 "both": "lin-full"}[which])
-    traj = lin_gd_train(fm, ds, eta=0.7, T=120, keep_predictions=True)
+    records, _ = lin_gd_train(fm, ds, eta=0.7, T=120)
     closed = closed_form_trajectory(K, ds.y, 0.7, range(121))
-    assert np.max(np.abs(traj.predictions - closed)) <= 1e-8
+    assert np.max(np.abs(np.array([r["u"] for r in records]) - closed)) <= 1e-8
 
 
 def test_beta_norm_is_nondecreasing_on_consistent_problems():
@@ -164,18 +205,18 @@ def test_beta_norm_is_nondecreasing_on_consistent_problems():
         ds = Dataset(X=X, y=features(fm, X) @ beta_star)  # consistent labels
         Psi = features(fm, X)
         eta = 0.8 * 30 / np.linalg.eigvalsh(Psi.T @ Psi).max()
-        traj = lin_gd_train(fm, ds, eta=eta, T=60)
-        assert np.all(np.diff(traj.beta_norm) >= -1e-12)
+        records, _ = lin_gd_train(fm, ds, eta=eta, T=60)
+        assert np.all(np.diff([r["beta_norm"] for r in records]) >= -1e-12)
 
 
 # -------------------------------------------------------------- closed form
 
 def test_closed_form_at_step_zero_and_one_step_interpolation():
     y = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(closed_form_predictions(np.eye(3), y, 0.5, 0),
+    np.testing.assert_array_equal(closed_form_trajectory(np.eye(3), y, 0.5, [0])[0],
                                   np.zeros(3))
     K = (3 / 0.5) * np.eye(3)  # eta K / n = I
-    np.testing.assert_allclose(closed_form_predictions(K, y, 0.5, 1), y, atol=1e-12)
+    np.testing.assert_allclose(closed_form_trajectory(K, y, 0.5, [1])[0], y, atol=1e-12)
 
 
 def test_closed_form_residual_is_contractive_in_the_stable_range():
@@ -191,7 +232,7 @@ def test_closed_form_residual_is_contractive_in_the_stable_range():
 
 def test_closed_form_rejects_negative_steps():
     with pytest.raises(ValueError, match=">= 0"):
-        closed_form_predictions(np.eye(2), np.ones(2), 0.1, -1)
+        closed_form_trajectory(np.eye(2), np.ones(2), 0.1, [3, -1])
 
 
 def test_closed_form_large_n_path_matches_low_rank_oracle():
@@ -216,31 +257,12 @@ def test_closed_form_accepts_kernel_matrix_wrapper():
     fm = fmap("first", d=4)
     X = gaussian(10, 4, seed=10)
     K = linear_kernel(X, fm.moments, fm.nu, "lin1")
-    a = closed_form_predictions(K, np.ones(10), 0.5, 5)
-    b = closed_form_predictions(K.values, np.ones(10), 0.5, 5)
+    a = closed_form_trajectory(K, np.ones(10), 0.5, [5])
+    b = closed_form_trajectory(K.values, np.ones(10), 0.5, [5])
     np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------- min norm
-
-def test_min_norm_interpolates_in_span_labels():
-    fm = fmap("both", TANH, d=5)
-    X = gaussian(12, 5, seed=11)
-    beta_star = np.random.default_rng(12).standard_normal(fm.out_dim)
-    ds = Dataset(X=X, y=features(fm, X) @ beta_star)
-    model = min_norm_solution(fm, ds)
-    np.testing.assert_allclose(predict(model, X), ds.y, atol=1e-9)
-
-
-def test_min_norm_of_orthogonal_labels_is_zero():
-    fm = fmap("first", TANH, d=5)
-    X = gaussian(20, 5, seed=13)
-    Psi = features(fm, X)
-    r = np.random.default_rng(14).standard_normal(20)
-    y_perp = r - Psi @ np.linalg.lstsq(Psi, r, rcond=None)[0]
-    model = min_norm_solution(fm, Dataset(X=X, y=y_perp))
-    np.testing.assert_allclose(model.beta, np.zeros(fm.out_dim), atol=1e-10)
-
 
 def test_gd_converges_to_the_min_norm_predictions():
     d, n = 8, 64
@@ -250,20 +272,6 @@ def test_gd_converges_to_the_min_norm_predictions():
     Psi = features(fm, X)
     eta = n / np.linalg.eigvalsh(Psi.T @ Psi).max()
     T = int(50 * d * math.log(d) / eta)
-    traj = lin_gd_train(fm, ds, eta=eta, T=T, keep_predictions=True)
-    star = predict(min_norm_solution(fm, ds), X)
-    assert np.linalg.norm(traj.predictions[-1] - star) <= 1e-4 * math.sqrt(n)
-
-
-# -------------------------------------------------------------- persistence
-
-def test_save_trajectory_schema(tmp_path):
-    traj = lin_gd_train(fmap("second", d=6), dataset(), eta=0.3, T=4)
-    csv, js = tmp_path / "lin.csv", tmp_path / "lin.json"
-    save_trajectory(traj, csv, js, config={"eta": 0.3}, seed=5)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "step,train_mse,beta_norm"
-    assert len(lines) == 6
-    back = np.loadtxt(csv, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(back[:, 2], traj.beta_norm, rtol=1e-16)
-    assert json.loads(js.read_text()) == {"config": {"eta": 0.3}, "seed": 5}
+    records, _ = lin_gd_train(fm, ds, eta=eta, T=T, stride=T)
+    star = Psi @ np.linalg.lstsq(Psi, ds.y, rcond=1e-10)[0]
+    assert np.linalg.norm(records[-1]["u"] - star) <= 1e-4 * math.sqrt(n)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlylin import network
 from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, SOFTPLUS, TANH, Activation, phi, phi_prime
@@ -10,7 +11,7 @@ from earlylin.kernels import ntk_first_layer, ntk_second_layer
 from earlylin.network import (
     Cnn1D,
     DivergenceError,
-    TrainConfig,
+    NetTrainable,
     TwoLayerNet,
     circular_conv,
     cnn_forward,
@@ -18,17 +19,14 @@ from earlylin.network import (
     cnn_loss_gradients,
     cnn_preactivations,
     forward,
-    gd_step,
-    horizon_steps,
     jacobian_first_layer_apply,
     jacobian_first_layer_transpose_apply,
     jacobian_second_layer,
     loss_gradients,
     preactivations,
     random_init,
-    save_trajectory,
+    run_lockstep,
     symmetric_init,
-    train,
 )
 
 ALL_ACTS = [ERF, TANH, SIGMOID, SOFTPLUS, RELU, Activation("leaky-relu", 0.01), IDENTITY]
@@ -52,6 +50,19 @@ def test_symmetric_init_outputs_zero_everywhere(act):
     net = symmetric_init(64, 12, act, seed=3)
     X = gaussian(200, 12, seed=9)
     assert np.max(np.abs(forward(net, X))) <= 1e-12 * math.sqrt(net.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(act=st.sampled_from(ALL_ACTS + [Activation("leaky-relu", -0.5)]),
+       half=st.integers(1, 40), d=st.integers(1, 16), n=st.integers(1, 40),
+       scale=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_init_outputs_zero_for_any_shape(act, half, d, n, scale, seed):
+    # each mirrored pair cancels; what is left is the rounding of the sum
+    net = symmetric_init(2 * half, d, act, seed=seed % 1000)
+    X = scale * np.random.default_rng(seed).standard_normal((n, d))
+    A = phi(act, preactivations(net, X))
+    bound = net.m * np.finfo(float).eps * (np.abs(A) @ np.abs(net.v)) / math.sqrt(net.m)
+    assert np.all(np.abs(forward(net, X)) <= bound)
 
 
 def test_symmetric_init_mirrors_exactly():
@@ -228,6 +239,13 @@ def test_first_layer_jacobian_lipschitz_in_weight_movement():
 
 # --------------------------------------------------------------- gradients
 
+def gd_step(net, X, y, eta1, eta2):
+    """One step of the driver's net model, from the residual on (X, y)."""
+    model = NetTrainable(net, X, eta1, eta2)
+    model.step(model.outputs() - y)
+    return model.net
+
+
 def test_gd_step_fixed_point_at_zero_residual():
     net = random_init(8, 4, TANH, seed=3)
     X = gaussian(10, 4, seed=5)
@@ -238,10 +256,17 @@ def test_gd_step_fixed_point_at_zero_residual():
 
 
 def test_gd_step_zero_rates_are_identity():
+    # a frozen layer is never reassigned: not even a copy is made
     net = random_init(8, 4, ERF, seed=3)
     ds = small_dataset(d=4)
-    stepped = gd_step(net, ds.X, ds.y, eta1=0.0, eta2=0.0)
-    assert stepped.W is net.W and stepped.v is net.v
+    model = NetTrainable(net, ds.X, eta1=0.3, eta2=0.0)
+    v = model.net.v
+    model.step(model.outputs() - ds.y)
+    assert model.net.v is v
+    model = NetTrainable(net, ds.X, eta1=0.0, eta2=0.3)
+    W = model.net.W
+    model.step(model.outputs() - ds.y)
+    assert model.net.W is W
 
 
 def test_first_gd_step_decreases_the_loss():
@@ -252,6 +277,18 @@ def test_first_gd_step_decreases_the_loss():
         after_net = gd_step(net, ds.X, ds.y, eta1=0.1, eta2=0.1)
         after = np.mean((forward(after_net, ds.X) - ds.y) ** 2)
         assert after < before
+
+
+@pytest.mark.parametrize("act", SMOOTH_ACTS, ids=lambda a: a.kind)
+def test_driver_step_is_the_loss_gradient_step(act):
+    # ties the finite-difference-checked loss_gradients to the code that runs
+    ds = small_dataset(n=12, d=3, seed=1)
+    net = random_init(6, 3, act, seed=2)
+    eta1, eta2 = 0.7, 0.3
+    grad_W, grad_v = loss_gradients(net, ds.X, ds.y)
+    stepped = gd_step(net, ds.X, ds.y, eta1, eta2)
+    np.testing.assert_allclose(stepped.W, net.W - eta1 * grad_W, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stepped.v, net.v - eta2 * grad_v, rtol=1e-12, atol=0)
 
 
 def fd_loss_gradient(loss, param, eps=1e-5):
@@ -285,94 +322,108 @@ def test_loss_gradients_match_finite_differences(act):
 
 # ------------------------------------------------------------------- train
 
-def train_config(**kw):
-    kw.setdefault("T", 10)
-    return TrainConfig(**kw)
+def train(net, ds, eta1=0.0, eta2=0.0, T=10, keep_predictions=False):
+    """Run the driver on the net alone; returns (records, final net)."""
+    model = NetTrainable(net, ds.X, eta1, eta2)
 
+    def record(t, u, mse):
+        return {"step": t, "w_move": float(np.linalg.norm(model.net.W - net.W)),
+                "v_move": float(np.linalg.norm(model.net.v - net.v)),
+                "u": u["net"] if keep_predictions else None}
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(eta1=-0.1, T=5)
-    with pytest.raises(ValueError):
-        TrainConfig(eta1=0.1)  # neither T nor horizon rule
-    with pytest.raises(ValueError):
-        TrainConfig(eta1=0.1, T=-1)
+    records = run_lockstep("training", {"net": model}, ds.y, max(eta1, eta2), T, record)
+    return records, model.net
 
 
 def test_horizon_rule():
-    assert horizon_steps(0.25, 64, 1.0) == int(0.25 * 64 * math.log(64))
-    assert horizon_steps(0.25, 2, 100.0) == 1  # floor is 1
-    with pytest.raises(ValueError):
-        horizon_steps(0.25, 64, 0.0)
-    cfg = TrainConfig(eta1=2.0, horizon_c=0.25)
-    assert cfg.steps(64) == horizon_steps(0.25, 64, 2.0)
-    assert TrainConfig(eta1=0.5, T=7).steps(64) == 7
-    assert TrainConfig(eta2=3.0, horizon_c=0.1).active_eta == 3.0
+    # resolve_run holds the one horizon rule, T = c d log(d) / eta, floored,
+    # at least 1
+    from earlylin.harness import CoupledRunConfig, resolve_run
+
+    def horizon(d, eta, c=0.25):
+        return resolve_run(CoupledRunConfig(
+            mode="first", data=DataSpec(identity_covariance(d), "gaussian", 8, 0),
+            m=2, eta=eta, horizon_c=c))[3]
+
+    assert horizon(64, 1.0) == int(0.25 * 64 * math.log(64))
+    assert horizon(2, 100.0) == 1  # floor is 1
+    assert horizon(64, 2.0, c=0.1) == int(0.1 * 64 * math.log(64) / 2.0)
 
 
 def test_train_zero_steps_records_only_the_initial_state():
     net = symmetric_init(8, 4, ERF, seed=0)
-    traj = train(net, small_dataset(d=4), train_config(eta1=0.1, T=0))
-    assert len(traj.steps) == 1
-    assert traj.w_move_fro[0] == 0.0 and traj.v_move_l2[0] == 0.0
+    records, _ = train(net, small_dataset(d=4), eta1=0.1, T=0)
+    assert len(records) == 1
+    assert records[0]["w_move"] == 0.0 and records[0]["v_move"] == 0.0
 
 
 def test_train_requires_a_positive_rate():
     net = symmetric_init(8, 4, ERF, seed=0)
     with pytest.raises(ValueError, match="learning rate"):
-        train(net, small_dataset(d=4), train_config(T=5))
+        train(net, small_dataset(d=4), T=5)
+    with pytest.raises(ValueError, match="learning rate"):
+        train(net, small_dataset(d=4), eta1=0.1, eta2=-0.1, T=5)
 
 
 def test_train_frozen_layers_stay_bit_identical():
     ds = small_dataset(n=20, d=5, seed=2)
     net = symmetric_init(12, 5, ERF, seed=1)
-    first_only = train(net, ds, train_config(eta1=0.5, T=8))
-    np.testing.assert_array_equal(first_only.final_net.v, net.v)
-    assert np.any(first_only.final_net.W != net.W)
-    second_only = train(net, ds, train_config(eta2=0.5, T=8))
-    np.testing.assert_array_equal(second_only.final_net.W, net.W)
-    assert np.any(second_only.final_net.v != net.v)
-    assert first_only.v_move_l2[-1] == 0.0
-    assert second_only.w_move_fro[-1] == 0.0
+    first_only, first_net = train(net, ds, eta1=0.5, T=8)
+    np.testing.assert_array_equal(first_net.v, net.v)
+    assert np.any(first_net.W != net.W)
+    second_only, second_net = train(net, ds, eta2=0.5, T=8)
+    np.testing.assert_array_equal(second_net.W, net.W)
+    assert np.any(second_net.v != net.v)
+    assert first_only[-1]["v_move"] == 0.0
+    assert second_only[-1]["w_move"] == 0.0
 
 
 def test_train_does_not_mutate_its_input_net():
     net = symmetric_init(8, 4, ERF, seed=0)
-    W_before = net.W.copy()
-    train(net, small_dataset(d=4), train_config(eta1=0.3, eta2=0.3, T=5))
+    W_before, v_before = net.W.copy(), net.v.copy()
+    train(net, small_dataset(d=4), eta1=0.3, eta2=0.3, T=5)
     np.testing.assert_array_equal(net.W, W_before)
+    np.testing.assert_array_equal(net.v, v_before)
 
 
 def test_train_is_deterministic_and_matches_gd_step():
     ds = small_dataset(n=24, d=5, seed=3)
     net = symmetric_init(10, 5, TANH, seed=4)
-    a = train(net, ds, train_config(eta1=0.2, eta2=0.2, T=6), keep_predictions=True)
-    b = train(net, ds, train_config(eta1=0.2, eta2=0.2, T=6), keep_predictions=True)
-    np.testing.assert_array_equal(a.predictions, b.predictions)
-    # replay the same schedule with single steps (same math, different
+    a, a_net = train(net, ds, eta1=0.2, eta2=0.2, T=6, keep_predictions=True)
+    b, b_net = train(net, ds, eta1=0.2, eta2=0.2, T=6, keep_predictions=True)
+    for ra, rb in zip(a, b):
+        np.testing.assert_array_equal(ra["u"], rb["u"])
+    # replay the same schedule with the loss gradients (same math, different
     # scalar-folding, so equal only up to roundoff)
     cur = net.copy()
     for _ in range(6):
-        cur = gd_step(cur, ds.X, ds.y, eta1=0.2, eta2=0.2)
-    np.testing.assert_allclose(a.final_net.W, cur.W, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(a.final_net.v, cur.v, rtol=1e-12, atol=1e-15)
+        grad_W, grad_v = loss_gradients(cur, ds.X, ds.y)
+        cur = TwoLayerNet(cur.W - 0.2 * grad_W, cur.v - 0.2 * grad_v, cur.act)
+    np.testing.assert_allclose(a_net.W, cur.W, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(a_net.v, cur.v, rtol=1e-12, atol=1e-15)
 
 
 def test_train_recorder_sees_every_step():
     seen = []
     net = symmetric_init(8, 4, ERF, seed=0)
-    traj = train(net, small_dataset(d=4), train_config(eta1=0.1, T=4),
-                 recorder=seen.append)
-    assert [rec["step"] for rec in seen] == [0, 1, 2, 3, 4]
-    assert seen[0]["train_mse"] == traj.train_mse[0]
-    assert seen[-1]["w_move_fro"] == traj.w_move_fro[-1]
+    ds = small_dataset(d=4)
+    model = NetTrainable(net, ds.X, 0.1, 0.0)
+
+    def record(t, u, mse):
+        seen.append((t, mse["net"]))
+        return t
+
+    rows = run_lockstep("training", {"net": model}, ds.y, 0.1, 4, record)
+    assert [t for t, _ in seen] == rows == [0, 1, 2, 3, 4]
+    assert seen[0][1] == np.mean((forward(net, ds.X) - ds.y) ** 2)
+    assert seen[-1][1] == np.mean((forward(model.net, ds.X) - ds.y) ** 2)
 
 
 @pytest.mark.parametrize("eta1, per_run", [(0.0, 1), (0.3, None)])
 def test_train_computes_features_only_when_w_moves(rows_per_call, eta1, per_run):
     ds = small_dataset(n=20, d=5, seed=2)
     calls = rows_per_call(network, "preactivations", "phi")
-    train(symmetric_init(12, 5, ERF, seed=1), ds, train_config(eta1=eta1, eta2=0.3, T=6))
+    train(symmetric_init(12, 5, ERF, seed=1), ds, eta1=eta1, eta2=0.3, T=6)
     for rows in calls.values():
         assert rows == [20] * (per_run or 6 + 1)
 
@@ -381,33 +432,20 @@ def test_train_divergence_aborts_with_diagnostic():
     ds = small_dataset(n=16, d=4, seed=0)
     net = symmetric_init(8, 4, ERF, seed=1)
     with pytest.raises(DivergenceError, match="diverged at step") as err:
-        train(net, ds, train_config(eta1=1e5, eta2=1e5, T=200))
+        train(net, ds, eta1=1e5, eta2=1e5, T=200)
     assert 1 <= err.value.step <= 200 and list(err.value.mses) == ["net"]
     assert err.value.eta == 1e5 and err.value.T == 200
+    # the rows recorded before the failing step travel with the error
+    assert [r["step"] for r in err.value.records] == list(range(err.value.step))
 
 
 def test_weight_movement_stays_within_the_early_time_radius():
     d, eta, c = 64, 1.0, 0.25
     ds = Dataset(X=gaussian(512, d, seed=5), y=np.sign(gaussian(512, d, seed=5)[:, 0]))
     net = symmetric_init(256, d, ERF, seed=6)
-    T = horizon_steps(c, d, eta)
-    traj = train(net, ds, TrainConfig(eta1=eta, eta2=eta, T=T))
-    assert np.max(traj.w_move_fro) <= math.sqrt(d * math.log(d))
-
-
-def test_save_trajectory_roundtrip(tmp_path):
-    net = symmetric_init(8, 4, ERF, seed=0)
-    traj = train(net, small_dataset(d=4), train_config(eta1=0.1, T=3))
-    csv = tmp_path / "traj.csv"
-    js = tmp_path / "traj.json"
-    save_trajectory(traj, csv, js, config={"eta1": 0.1}, seed=0)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "step,train_mse,w_move_fro,v_move_l2"
-    assert len(lines) == 5
-    back = np.loadtxt(csv, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(back[:, 1], traj.train_mse, rtol=1e-16)
-    import json
-    assert json.loads(js.read_text()) == {"config": {"eta1": 0.1}, "seed": 0}
+    T = max(1, int(c * d * math.log(d) / eta))
+    records, _ = train(net, ds, eta1=eta, eta2=eta, T=T)
+    assert max(r["w_move"] for r in records) <= math.sqrt(d * math.log(d))
 
 
 # --------------------------------------------------------------------- cnn
