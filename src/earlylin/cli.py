@@ -233,7 +233,7 @@ def _semantic_errors(subcommand: str, cfg: dict):
         yield "horizon_c", f"must be > 0, got {cfg['horizon_c']}"
     if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= 256:
         yield "order", f"must be in [1, 256], got {cfg['order']}"
-    elif (subcommand == "moments" and cfg["order"] is not None
+    elif (subcommand in ("moments", "cnn-ntk") and cfg["order"] is not None
           and cfg["order"] < PIECEWISE_MIN_ORDER
           and Activation(cfg["act"]).smoothness == PIECEWISE_LINEAR):
         yield "order", (f"piecewise-linear activations need order >= "
@@ -503,7 +503,7 @@ def _run_discrepancy_sweep(cfg, out_dir):
 def _run_cnn_ntk(cfg, out_dir):
     result = cnn_deviation_experiment(cfg["d"], cfg["q"], cfg["n"],
                                       _activation(cfg), cfg["seed"],
-                                      growth=cfg["growth"])
+                                      growth=cfg["growth"], order=cfg["order"])
     _write_csv(os.path.join(out_dir, "deviation.csv"),
                ["d", "n", "q", "deviation", "base_norm", "ratio"],
                [(p.d, p.n, p.q, p.deviation, p.base_norm, p.ratio)

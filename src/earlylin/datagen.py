@@ -240,5 +240,5 @@ def load_csv(path) -> Dataset:
             labels.append(values[-1])
     y = np.asarray(labels, dtype=float)
     _warn_label_range(y, f"labels in {path}")
-    return Dataset(X=np.asarray(rows, dtype=float), y=y,
+    return Dataset(X=np.asarray(rows, dtype=float).reshape(len(rows), d), y=y,
                    provenance={"source": str(path)})

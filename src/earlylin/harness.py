@@ -443,10 +443,12 @@ def cnn_kernel_deviation(d: int, q: int, n: int, act: Activation, seed: int,
 
 
 def cnn_deviation_experiment(d: int, q: int, n: int, act: Activation, seed: int,
-                             growth: float = 1.1) -> CnnDeviationResult:
+                             growth: float = 1.1,
+                             order: int | None = None) -> CnnDeviationResult:
     """Deviation ratio at (d, n) and at (2d, n * 2^growth) — n scales to hold
-    n / d^growth fixed — and whether the ratio shrinks."""
-    p1 = cnn_kernel_deviation(d, q, n, act, seed)
+    n / d^growth fixed — and whether the ratio shrinks. `order` is the
+    quadrature order of the kernel's tabulation (None: the activation's default)."""
+    p1 = cnn_kernel_deviation(d, q, n, act, seed, order=order)
     n2 = int(round(n * 2.0**growth))
-    p2 = cnn_kernel_deviation(2 * d, q, n2, act, seed + 1)
+    p2 = cnn_kernel_deviation(2 * d, q, n2, act, seed + 1, order=order)
     return CnnDeviationResult(points=[p1, p2], decreasing=p2.ratio < p1.ratio)

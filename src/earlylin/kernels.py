@@ -5,6 +5,13 @@ Builders need no symmetrizing pass: Gram products A A^T (one BLAS triangle,
 mirrored), their elementwise products, q q^T and lookups on integer patch
 Grams are exactly symmetric. Spectral norms come from Lanczos.
 
+The empirical tangent kernels of a mirrored net (`network.symmetric_init`,
+whose second half of neurons repeats the first with v negated) are built from
+its m/2 distinct neurons: every term of the sum over m appears twice, so half
+the preactivations, phi' evaluations and Gram work give the same kernel up to
+the order of the additions. The CNN kernel looks its table up into two n x n
+buffers allocated once for all patch offsets.
+
 Two bivariate-Gaussian conventions coexist deliberately: the first-layer
 expected kernel parameterizes the 2x2 covariance by marginal *variances*
 (entries [[a, c], [c, b]]), while the second-layer one parameterizes it by
@@ -16,7 +23,7 @@ the two `expected_ntk_*` builders below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,22 +67,50 @@ class DecayFit:
     r_squared: float
 
 
+def _distinct_neurons(net, signs: bool = True):
+    """The first half of a mirrored net, else the net itself.
+
+    A net is mirrored when m is even, W[:m/2] equals W[m/2:] exactly and, if
+    `signs`, |v[:m/2]| equals |v[m/2:]|, as `symmetric_init` builds it. Its
+    kernel (1/m) sum over m neurons then equals the half net's (1/h) sum over
+    h = m/2. The check is by value: a trained or `random_init` net takes the
+    general path.
+    """
+    h = net.m // 2
+    if (net.m % 2 == 0 and np.array_equal(net.W[:h], net.W[h:])
+            and (not signs or np.array_equal(np.abs(net.v[:h]), np.abs(net.v[h:])))):
+        return replace(net, W=net.W[:h], v=net.v[:h])
+    return net
+
+
 def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
-    """(1/m) sum_r v_r^2 phi'(X w_r/sqrt(d)) phi'(X w_r/sqrt(d))^T  (.)  X X^T/d."""
+    """(1/m) sum_r v_r^2 phi'(X w_r/sqrt(d)) phi'(X w_r/sqrt(d))^T  (.)  X X^T/d.
+
+    A mirrored net is built from its h = m/2 distinct neurons, as
+    (1/h) G_h G_h^T (.) X X^T/d: half the preactivations, phi' and Gram
+    product, equal to the full sum up to the order of its additions.
+    """
     from .network import preactivations
     from .activations import phi_prime
 
+    net = _distinct_neurons(net)
     G = phi_prime(net.act, preactivations(net, X))
     G *= net.v
-    K = ((G @ G.T) / net.m) * (X @ X.T / X.shape[1])
+    K = G @ G.T
+    del G
+    K /= net.m
+    C = X @ X.T
+    C /= X.shape[1]
+    K *= C
     return KernelMatrix(values=K, provenance="ntk1")
 
 
 def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
-    """(1/m) phi(X W^T/sqrt(d)) phi(X W^T/sqrt(d))^T."""
+    """(1/m) phi(X W^T/sqrt(d)) phi(X W^T/sqrt(d))^T, from the h = m/2
+    distinct neurons when the halves of W are equal (v plays no part)."""
     from .network import jacobian_second_layer
 
-    J2 = jacobian_second_layer(net, X)
+    J2 = jacobian_second_layer(_distinct_neurons(net, signs=False), X)
     return KernelMatrix(values=J2 @ J2.T, provenance="ntk2")
 
 
@@ -192,10 +227,18 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
 
     Xc = np.concatenate([X, X[:, : q_filter - 1]], axis=1) if q_filter > 1 else X
     acc = np.zeros((n, n))
+    idx = np.empty((n, n), dtype=np.intp)
+    looked_up = np.empty((n, n))
     for k in range(d):
-        R = Xc[:, k : k + q_filter] @ Xc[:, k : k + q_filter].T  # integer-valued
-        acc += summand[np.rint((q_filter - R) / 2.0).astype(np.intp)]
-    return KernelMatrix(values=acc / d, provenance="cnn-inf")
+        patch = np.ascontiguousarray(Xc[:, k : k + q_filter])
+        R = patch @ patch.T  # integer-valued, with the parity of q
+        R -= q_filter
+        R *= -0.5  # (q - R)/2, an exact integer: the table index
+        idx[...] = R
+        np.take(summand, idx, out=looked_up)
+        acc += looked_up
+    acc /= d
+    return KernelMatrix(values=acc, provenance="cnn-inf")
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -41,7 +41,9 @@ def mean_squared_error(u: np.ndarray, y: np.ndarray) -> float:
     """Per-step training MSE of a model. An overflow gives inf without a
     numpy warning: `check_divergence` reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean((u - y) ** 2))
+        d = u - y
+        d *= d
+        return float(np.add.reduce(d)) / d.size
 
 
 def check_divergence(what: str, step: int, mses: dict[str, float],

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -339,6 +340,37 @@ def test_moments_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
     assert proc.stderr == ("config error: /order: piecewise-linear activations need "
                            "order >= 64, got 2\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cnn_ntk_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
+    # `earlylin cnn-ntk --act relu --order 2 ...`, exactly as a user types it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "earlylin.cli", "cnn-ntk", "--act", "relu", "--order", "2",
+         "--d", "8", "--q", "2", "--n", "16"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: /order: piecewise-linear activations need "
+                           "order >= 64, got 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cnn_ntk_tabulates_at_the_given_order(tmp_path):
+    from earlylin.activations import ERF
+    from earlylin.harness import cnn_deviation_experiment
+
+    assert run(["cnn-ntk", "--act", "erf", "--order", "32", "--d", "8", "--q", "2",
+                "--n", "16", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "deviation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want = cnn_deviation_experiment(8, 2, 16, ERF, 0, order=32).points
+    default = cnn_deviation_experiment(8, 2, 16, ERF, 0).points
+    assert want[0].deviation != default[0].deviation  # the order shows in the output
+    assert [{k: float(v) for k, v in row.items()} for row in rows] == [
+        {"d": p.d, "n": p.n, "q": p.q, "deviation": p.deviation,
+         "base_norm": p.base_norm, "ratio": p.ratio} for p in want]
 
 
 @pytest.mark.parametrize("act, order, code", [

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earlylin.activations import ERF
 from earlylin import datagen
@@ -259,6 +262,26 @@ def test_saved_norm_labels_load_back_unchanged(tmp_path):
         back = load_csv(path)
     np.testing.assert_array_equal(back.X, X)
     np.testing.assert_array_equal(back.y, y)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 20), d=st.integers(1, 20))
+def test_save_then_load_is_the_identity(tmp_path_factory, data, n, d):
+    # any finite float64: subnormals, the largest magnitudes, labels anywhere
+    X = data.draw(arrays(np.float64, (n, d), elements=finite_floats))
+    y = data.draw(arrays(np.float64, (n,), elements=finite_floats))
+    path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
+    save_csv(Dataset(X=X, y=y), path)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        back = load_csv(path)
+    assert np.array_equal(back.X, X) and back.X.shape == (n, d)
+    assert np.array_equal(back.y, y) and back.y.shape == (n,)
+    label_warnings = [w for w in seen if issubclass(w.category, LabelRangeWarning)]
+    assert len(label_warnings) == int(bool(np.any(np.abs(y) > 1.0)))
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])

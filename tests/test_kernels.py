@@ -17,6 +17,7 @@ from earlylin.activations import (
     phi_prime,
     phi_prime_part,
 )
+from earlylin import activations, network
 from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import (
     EXPECTED_NTK_MAX_N,
@@ -41,6 +42,7 @@ from earlylin.network import (
     preactivations,
     random_init,
     symmetric_init,
+    TwoLayerNet,
 )
 
 ERF_GAMMA = 4.0 / (math.pi * math.sqrt(5.0))          # E[erf'(g)^2]
@@ -439,19 +441,95 @@ def layouts(X):
     return [("C", np.ascontiguousarray(X)), ("F", np.asfortranarray(X))]
 
 
+def half_net(net):
+    h = net.m // 2
+    return TwoLayerNet(W=net.W[:h], v=net.v[:h], act=net.act)
+
+
+def plain_first_layer(net, X):
+    """(1/m) times the sum over all m neurons, with no fold."""
+    G = phi_prime(net.act, preactivations(net, X)) * net.v[None, :]
+    return symmetrized(((G @ G.T) / net.m) * (X @ X.T / X.shape[1]))
+
+
+def plain_second_layer(net, X):
+    J2 = jacobian_second_layer(net, X)
+    return symmetrized(J2 @ J2.T)
+
+
 def test_empirical_kernels_equal_their_plain_expressions_exactly():
+    # A mirrored net is built from its h = m/2 distinct neurons: (1/h) sums
+    # over the first half. A random_init net keeps the sum over all m.
     for act in (ERF, TANH, RELU):
-        net = symmetric_init(40, 6, act, seed=21)
+        net, other = symmetric_init(40, 6, act, seed=21), random_init(40, 6, act, seed=21)
+        h, half = 20, half_net(net)
         for layout, X in layouts(gaussian(30, 6, seed=22)):
-            G = phi_prime(act, preactivations(net, X)) * net.v[None, :]
-            want = symmetrized(((G @ G.T) / net.m) * (X @ X.T / 6))
+            G = phi_prime(act, preactivations(half, X)) * half.v[None, :]
+            want = symmetrized(((G @ G.T) / h) * (X @ X.T / 6))
             got = ntk_first_layer(net, X).values
             assert np.array_equal(got, want), (act.kind, layout)
             assert np.array_equal(got, got.T), (act.kind, layout)
-            J2 = jacobian_second_layer(net, X)
+            J2 = phi(act, preactivations(half, X)) / math.sqrt(h)
             got = ntk_second_layer(net, X).values
             assert np.array_equal(got, symmetrized(J2 @ J2.T)), (act.kind, layout)
             assert np.array_equal(got, got.T), (act.kind, layout)
+
+            got = ntk_first_layer(other, X).values
+            assert np.array_equal(got, plain_first_layer(other, X)), (act.kind, layout)
+            assert np.array_equal(got, got.T), (act.kind, layout)
+            got = ntk_second_layer(other, X).values
+            assert np.array_equal(got, plain_second_layer(other, X)), (act.kind, layout)
+            assert np.array_equal(got, got.T), (act.kind, layout)
+
+
+@pytest.mark.parametrize("act", [ERF, TANH, RELU], ids=lambda a: a.kind)
+def test_mirrored_kernels_match_the_sum_over_every_neuron(act):
+    X = gaussian(60, 9, seed=25)
+    for m in (2, 40, 250):
+        net = symmetric_init(m, 9, act, seed=26)
+        K1, K2 = plain_first_layer(net, X), plain_second_layer(net, X)
+        for got, want in ((ntk_first_layer(net, X).values, K1),
+                          (ntk_second_layer(net, X).values, K2),
+                          (ntk_full(net, X).values, K1 + K2)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), m
+
+
+def test_a_net_that_is_not_exactly_mirrored_takes_the_general_path():
+    X = gaussian(30, 6, seed=27)
+    mirrored = symmetric_init(8, 6, TANH, seed=28)
+    W = mirrored.W.copy()
+    W[7, 3] = np.nextafter(W[7, 3], np.inf)  # one ulp off its twin W[3, 3]
+    moved = TwoLayerNet(W=W, v=mirrored.v, act=TANH)
+    # a fold would drop the moved neuron: the ulp shows in the kernels
+    assert not np.array_equal(plain_first_layer(moved, X),
+                              plain_first_layer(half_net(moved), X))
+    assert not np.array_equal(plain_second_layer(moved, X),
+                              plain_second_layer(half_net(moved), X))
+    assert np.array_equal(ntk_first_layer(moved, X).values, plain_first_layer(moved, X))
+    assert np.array_equal(ntk_second_layer(moved, X).values, plain_second_layer(moved, X))
+
+    v = mirrored.v.copy()
+    v[5] *= 1.5  # |v| no longer mirrored; W still is
+    scaled = TwoLayerNet(W=mirrored.W, v=v, act=TANH)
+    assert np.array_equal(ntk_first_layer(scaled, X).values, plain_first_layer(scaled, X))
+    # v plays no part in the second-layer kernel: it still folds
+    assert np.array_equal(ntk_second_layer(scaled, X).values,
+                          plain_second_layer(half_net(scaled), X))
+
+
+def test_a_mirrored_net_evaluates_its_distinct_neurons_only(monkeypatch):
+    n, m = 30, 40
+    X = gaussian(n, 6, seed=29)
+    seen = {"phi": [], "phi_prime": []}
+    for module, name in ((activations, "phi_prime"), (network, "phi")):
+        def counted(act, z, _name=name, _original=getattr(module, name)):
+            seen[_name].append(z.size)
+            return _original(act, z)
+        monkeypatch.setattr(module, name, counted)
+    for init, width in ((symmetric_init, m // 2), (random_init, m)):
+        seen["phi"].clear(), seen["phi_prime"].clear()
+        ntk_full(init(m, 6, ERF, seed=30), X)
+        assert seen == {"phi": [n * width], "phi_prime": [n * width]}, init.__name__
 
 
 def test_linear_kernels_equal_their_plain_expressions_exactly():

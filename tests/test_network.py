@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,23 @@ def test_train_divergence_aborts_with_diagnostic():
     assert err.value.eta == 1e5 and err.value.T == 200
     # the rows recorded before the failing step travel with the error
     assert [r["step"] for r in err.value.records] == list(range(err.value.step))
+
+
+def test_mean_squared_error_has_the_bits_of_the_plain_mean():
+    rng = np.random.default_rng(31)
+    for size in range(1, 6001):
+        u = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.standard_normal(size)
+        assert network.mean_squared_error(u, y) == float(np.mean((u - y) ** 2)), size
+
+
+def test_mean_squared_error_overflows_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, y in (([1e200, 0.0], [0.0, 0.0]), ([1e308, 1.0], [-1e308, 1.0])):
+            assert network.mean_squared_error(np.array(u), np.array(y)) == math.inf
+        assert math.isnan(network.mean_squared_error(np.array([np.inf, 0.0]),
+                                                     np.array([np.inf, 0.0])))
 
 
 def test_weight_movement_stays_within_the_early_time_radius():
