@@ -182,41 +182,55 @@ def _forget_pool_after_fork() -> None:
 os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
-def _run_block(into, z, out, errstate: dict, errcall) -> None:
+def _run_block(work, lo: int, hi: int, errstate: dict, errcall) -> None:
     # numpy's error state is per thread: a worker starts from the defaults.
     with np.errstate(call=errcall, **errstate):
-        into(z, out)
+        work(lo, hi)
+
+
+def run_in_blocks(work: Callable[[int, int], None], length: int, size: int) -> None:
+    """work(lo, hi) over contiguous ranges [lo, hi) that cover range(length).
+
+    Work of at least PARALLEL_MIN_SIZE elements (`size`) is cut into one range
+    per usable core: the caller runs the first and the pool's threads the
+    others (ufuncs release the GIL), each under the caller's numpy error
+    state. Smaller work is one call in the caller. Returns once every range
+    is done, re-raising a worker's exception. `work` writes only its own
+    range of buffers the caller allocated, so where it computes each element
+    the same way in any range, the result does not depend on the block count.
+    """
+    pool, cores = _executor() if size >= PARALLEL_MIN_SIZE else (None, 1)
+    if pool is None:
+        work(0, length)
+        return
+    cuts = [i * length // cores for i in range(cores + 1)]
+    errstate, errcall = np.geterr(), np.geterrcall()
+    futures = [pool.submit(_run_block, work, lo, hi, errstate, errcall)
+               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        work(0, cuts[1])
+    finally:
+        wait(futures)  # no worker may still write into the buffers once we return
+    for future in futures:
+        future.result()  # re-raises a worker's exception
 
 
 def _evaluate(into, z) -> np.ndarray:
     """`into` over z into a fresh array of z's shape and memory layout.
 
-    A contiguous input of at least PARALLEL_MIN_SIZE elements is cut into one
-    contiguous block of its memory per usable core; the caller computes the
-    first block and the pool's threads the others (ufuncs release the GIL),
-    each writing its slice of the one result. Every element goes through the
-    same ufuncs either way, so the result does not depend on the block count.
+    A contiguous input is evaluated in blocks of its memory by
+    `run_in_blocks`, each block writing its slice of the one result. Every
+    element goes through the same ufuncs either way, so the result does not
+    depend on the block count.
     """
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    contiguous = z.flags.c_contiguous or z.flags.f_contiguous
-    pool, cores = _executor() if contiguous and z.size >= PARALLEL_MIN_SIZE else (None, 1)
-    if pool is None:
+    if not (z.flags.c_contiguous or z.flags.f_contiguous):
         into(z, out)
         return out
     # z and out share one memory order, so these views list the same elements
     flat_z, flat_out = np.ravel(z, order="K"), np.ravel(out, order="K")
-    cuts = [i * z.size // cores for i in range(cores + 1)]
-    errstate, errcall = np.geterr(), np.geterrcall()
-    futures = [pool.submit(_run_block, into, flat_z[lo:hi], flat_out[lo:hi],
-                           errstate, errcall)
-               for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
-        into(flat_z[:cuts[1]], flat_out[:cuts[1]])
-    finally:
-        wait(futures)  # no worker may still write into out once we return
-    for future in futures:
-        future.result()  # re-raises a worker's exception
+    run_in_blocks(lambda lo, hi: into(flat_z[lo:hi], flat_out[lo:hi]), z.size, z.size)
     return out
 
 

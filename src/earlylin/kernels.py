@@ -3,14 +3,18 @@ kernels, the infinite-width CNN kernel on the hypercube, and spectral tooling.
 
 Builders need no symmetrizing pass: Gram products A A^T (one BLAS triangle,
 mirrored), their elementwise products, q q^T and lookups on integer patch
-Grams are exactly symmetric. Spectral norms come from Lanczos.
+mismatch counts are exactly symmetric. Spectral norms come from Lanczos.
 
 The empirical tangent kernels of a mirrored net (`network.symmetric_init`,
 whose second half of neurons repeats the first with v negated) are built from
 its m/2 distinct neurons: every term of the sum over m appears twice, so half
 the preactivations, phi' evaluations and Gram work give the same kernel up to
-the order of the additions. The CNN kernel looks its table up into two n x n
-buffers allocated once for all patch offsets.
+the order of the additions. The CNN kernel keeps the Hamming distances of the
+patches at one offset as small integers, moves them to the next offset by the
+two positions that leave and enter the window, and looks its table up at
+them; row blocks of the n x n result run on every usable core, each element
+summed in the same order whatever the block count. The erf expected kernels
+are Williams' closed forms; the other kinds use quadrature per pair.
 
 Two bivariate-Gaussian conventions coexist deliberately: the first-layer
 expected kernel parameterizes the 2x2 covariance by marginal *variances*
@@ -33,6 +37,7 @@ from .activations import (
     bivariate_expectation,
     phi_part,
     phi_prime_part,
+    run_in_blocks,
 )
 from .linmodel import norm_feature
 
@@ -135,13 +140,30 @@ def _expected_ntk_entries(X: np.ndarray, entry_fn) -> np.ndarray:
     return K
 
 
+def _erf_covariances(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the pairs (z_i, z_j) ~ N(0, [[a, c], [c, b]]) of C = X X^T/d: c
+    clipped to Cauchy-Schwarz (fp error can break it), and (1+2a)(1+2b)."""
+    a = np.diag(C)
+    bound = np.sqrt(np.outer(a, a))
+    return np.clip(C, -bound, bound), np.outer(1.0 + 2.0 * a, 1.0 + 2.0 * a)
+
+
 def expected_ntk_first(X: np.ndarray, act: Activation, order: int = 64) -> KernelMatrix:
     """Infinite-width first-layer kernel: entries (x_i.x_j/d) E[phi'(z_i) phi'(z_j)]
-    under the data-induced covariance with variances ||x_i||^2/d."""
+    under the data-induced covariance with variances ||x_i||^2/d.
+
+    For erf, Williams' closed form ("Computing with Infinite Networks", NIPS
+    1997), C (4/pi) / sqrt((1+2a)(1+2b) - 4c^2), for every n; other kinds use
+    `order`-point quadrature per pair, for n up to EXPECTED_NTK_MAX_N.
+    """
     if order < 32:
         raise ValueError("expected-kernel quadrature needs order >= 32")
     d = X.shape[1]
     C = X @ X.T / d
+    if act.kind == "erf":
+        c, P = _erf_covariances(C)
+        K = C * (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2)
+        return KernelMatrix(values=K, provenance="expected-ntk1")
     a = np.diag(C).copy()
     fp = phi_prime_part(act)
 
@@ -157,11 +179,20 @@ def expected_ntk_first(X: np.ndarray, act: Activation, order: int = 64) -> Kerne
 
 def expected_ntk_second(X: np.ndarray, act: Activation, order: int = 64) -> KernelMatrix:
     """Infinite-width second-layer kernel: entries E[phi(z_i) phi(z_j)] where the
-    marginal standard deviations are ||x_i||/sqrt(d) (note: stds, not variances)."""
+    marginal standard deviations are ||x_i||/sqrt(d) (note: stds, not variances).
+
+    For erf, Williams' closed form (2/pi) arcsin(2c / sqrt((1+2a)(1+2b))) in
+    the variances a, b, for every n; other kinds use `order`-point quadrature
+    per pair, for n up to EXPECTED_NTK_MAX_N.
+    """
     if order < 32:
         raise ValueError("expected-kernel quadrature needs order >= 32")
     d = X.shape[1]
     C = X @ X.T / d
+    if act.kind == "erf":
+        c, P = _erf_covariances(C)
+        K = (2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P))
+        return KernelMatrix(values=K, provenance="expected-ntk2")
     s = np.sqrt(np.diag(C))
     f = phi_part(act)
 
@@ -208,7 +239,8 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     circular patch correlations rho_ijk = <x_i[k:k+q], x_j[k:k+q]>/q, with
     P(rho) = E[phi(z1)phi(z2)] and Q(rho) = E[phi'(z1)phi'(z2)] at unit
     marginals. Hypercube patches make rho take only q+1 values, so the summand
-    P(rho) + Q(rho) rho is tabulated once and looked up per patch offset.
+    P(rho) + Q(rho) rho is tabulated once and looked up per patch offset, at
+    the Hamming distance (q - q rho)/2 of the two patches.
     """
     n, d = X.shape
     if not np.all(np.abs(X) == 1.0):
@@ -225,19 +257,34 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     ])
     summand = P_tab + Q_tab * rho_values
 
-    Xc = np.concatenate([X, X[:, : q_filter - 1]], axis=1) if q_filter > 1 else X
+    # H holds the patch Hamming distances at offset k and moves to offset k+1
+    # by the positions leaving and entering the window: exact small integers.
+    b = np.ascontiguousarray((X < 0).T, dtype=np.uint8)  # b[k]: the -1s of column k
     acc = np.zeros((n, n))
-    idx = np.empty((n, n), dtype=np.intp)
+    H = np.zeros((n, n), dtype=np.min_scalar_type(q_filter))
+    mismatch = np.empty((n, n), dtype=np.uint8)
+    idx = np.empty((n, n), dtype=np.intp)  # else np.take makes one per call, in each thread
     looked_up = np.empty((n, n))
-    for k in range(d):
-        patch = np.ascontiguousarray(Xc[:, k : k + q_filter])
-        R = patch @ patch.T  # integer-valued, with the parity of q
-        R -= q_filter
-        R *= -0.5  # (q - R)/2, an exact integer: the table index
-        idx[...] = R
-        np.take(summand, idx, out=looked_up)
-        acc += looked_up
-    acc /= d
+
+    def rows(lo, hi):
+        H_, idx_, acc_, looked_up_ = H[lo:hi], idx[lo:hi], acc[lo:hi], looked_up[lo:hi]
+
+        def mismatches(k):  # 1 where rows lo..hi differ from each row at position k
+            return np.bitwise_xor(b[k, lo:hi, None], b[k], out=mismatch[lo:hi])
+
+        for k in range(q_filter):
+            H_ += mismatches(k)
+        for k in range(d):
+            # indices are in [0, q] by construction: "clip" only skips the bounds check
+            idx_[...] = H_
+            np.take(summand, idx_, out=looked_up_, mode="clip")
+            acc_ += looked_up_
+            if k + 1 < d:
+                H_ -= mismatches(k)
+                H_ += mismatches((k + q_filter) % d)
+        acc_ /= d
+
+    run_in_blocks(rows, n, n * n)
     return KernelMatrix(values=acc, provenance="cnn-inf")
 
 

@@ -558,3 +558,24 @@ def test_bivariate_smooth_convergence_in_order():
     lo = bivariate_expectation(f, f, lam, order=48)
     hi = bivariate_expectation(f, f, lam, order=128)
     np.testing.assert_allclose(lo, hi, atol=1e-8)
+
+
+SWAP_PARTS = [part(act) for act in ALL_ACTS + [leaky_relu(-0.5)]
+              for part in (phi_part, phi_prime_part)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from(SWAP_PARTS), g=st.sampled_from(SWAP_PARTS),
+       a=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       b=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+def test_bivariate_expectation_is_symmetric_under_a_swap(f, g, a, b, rho):
+    c = rho * math.sqrt(a * b)
+    got = bivariate_expectation(f, g, [[a, c], [c, b]])
+    swapped = bivariate_expectation(g, f, [[b, c], [c, a]])
+    smooth = f.act.smoothness == g.act.smoothness == "smooth"
+    # Two smooth factors are integrated along the other Cholesky factor once
+    # swapped, so the two differ by the quadrature error (below 1e-8 at
+    # variances up to 1); any other pair has one exact integral.
+    tol = 1e-7 if smooth else 4e-16
+    assert abs(got - swapped) <= tol * max(1.0, abs(got))

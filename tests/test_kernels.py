@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlylin.activations import (
     ERF,
@@ -191,21 +192,37 @@ def williams_erf_kernels(X):
 def test_expected_erf_kernels_match_williams_closed_forms():
     d = 16
     X = gaussian(8, d, seed=16)
-    # ||x||^2/d spread over [0.95, 1.05], where 64-point quadrature is good to ~3e-11
-    X *= np.sqrt(np.linspace(0.95, 1.05, 8) * d / np.sum(X**2, axis=1))[:, None]
+    # ||x||^2/d spread over [0.3, 3.3], where order-64 quadrature errs by up to 2e-4
+    X *= np.sqrt(np.linspace(0.3, 3.3, 8) * d / np.sum(X**2, axis=1))[:, None]
     X = np.vstack([X, -X[:1], 0.9 * X[1] + 0.1 * X[2]])  # rho = -1 and rho near 1
     first, second = williams_erf_kernels(X)
-    np.testing.assert_allclose(expected_ntk_first(X, ERF).values, first, rtol=1e-10, atol=0)
-    np.testing.assert_allclose(expected_ntk_second(X, ERF).values, second, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(expected_ntk_first(X, ERF).values, first, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(expected_ntk_second(X, ERF).values, second, rtol=1e-14, atol=0)
+
+
+def test_expected_erf_kernels_have_no_size_cap():
+    X = gaussian(2000, 4, seed=31)  # above EXPECTED_NTK_MAX_N: only quadrature is capped
+    assert X.shape[0] > EXPECTED_NTK_MAX_N
+    first, second = williams_erf_kernels(X)
+    K = expected_ntk_first(X, ERF).values
+    np.testing.assert_allclose(K, first, rtol=1e-14, atol=0)
+    assert np.array_equal(K, K.T)
+    del K, first
+    K = expected_ntk_second(X, ERF).values
+    np.testing.assert_allclose(K, second, rtol=1e-14, atol=0)
+    assert np.array_equal(K, K.T)
 
 
 def test_expected_kernel_guards():
     X = gaussian(2, 4)
-    with pytest.raises(ValueError, match="order"):
-        expected_ntk_first(X, ERF, order=16)
+    for act in (ERF, TANH):
+        with pytest.raises(ValueError, match="order"):
+            expected_ntk_first(X, act, order=16)
     big = np.ones((EXPECTED_NTK_MAX_N + 1, 2))
     with pytest.raises(ValueError, match="exceeds the"):
-        expected_ntk_first(big, ERF)
+        expected_ntk_first(big, TANH)
+    with pytest.raises(ValueError, match="exceeds the"):
+        expected_ntk_second(big, TANH)
 
 
 def test_first_layer_empirical_kernel_concentrates_to_the_expected_one():
@@ -568,6 +585,71 @@ def test_cnn_kernel_equals_its_plain_expression_exactly(act):
         got = cnn_infinite_ntk(X, q, act).values
         assert np.array_equal(got, symmetrized(acc / d)), layout
         assert np.array_equal(got, got.T), layout
+
+
+def gemm_cnn_kernel(X, q, summand):
+    """The CNN kernel as a patch Gram per offset, turned into the table index
+    (q - R)/2 and looked up: the expression the mismatch counts replace."""
+    n, d = X.shape
+    Xc = np.concatenate([X, X[:, : q - 1]], axis=1) if q > 1 else X
+    acc = np.zeros((n, n))
+    idx = np.empty((n, n), dtype=np.intp)
+    looked_up = np.empty((n, n))
+    for k in range(d):
+        patch = np.ascontiguousarray(Xc[:, k : k + q])
+        R = patch @ patch.T
+        R -= q
+        R *= -0.5
+        idx[...] = R
+        np.take(summand, idx, out=looked_up)
+        acc += looked_up
+    acc /= d
+    return acc
+
+
+def cnn_summand(q, act):
+    rho = (q - 2.0 * np.arange(q + 1)) / q
+    f, fp = phi_part(act), phi_prime_part(act)
+    P = np.array([bivariate_expectation(f, f, [[1.0, r], [r, 1.0]]) for r in rho])
+    Q = np.array([bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]]) for r in rho])
+    return P + Q * rho
+
+
+def cnn_with_blocks(blocks, threshold, X, q, act):
+    """cnn_infinite_ntk cut into `blocks` row blocks from n^2 >= `threshold` on."""
+    pool, _ = activations._executor()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(activations, "PARALLEL_MIN_SIZE", threshold)
+        if pool is not None:
+            mp.setattr(activations, "_executor", lambda: (pool, blocks))
+        return cnn_infinite_ntk(X, q, act).values
+
+
+@settings(max_examples=40, deadline=None)
+@given(dq=st.sampled_from([(9, 1), (12, 5), (16, 7), (16, 16), (20, 16), (5, 5)]),
+       n=st.sampled_from([1, 3, 40, 511, 513, 600]),
+       act=st.sampled_from([ERF, TANH, RELU]),
+       blocks=st.integers(1, 7), small_threshold=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_cnn_kernel_is_bit_identical_to_the_patch_gram_lookup(
+        dq, n, act, blocks, small_threshold, seed):
+    d, q = dq
+    X = hypercube(n, d, seed=seed)
+    k = n // 3
+    X[n - k :] = -X[:k]  # opposite rows: every patch mismatches, H = q
+    threshold = 1 if small_threshold else activations.PARALLEL_MIN_SIZE
+    got = cnn_with_blocks(blocks, threshold, X, q, act)
+    assert np.array_equal(got, gemm_cnn_kernel(X, q, cnn_summand(q, act)))
+    assert np.array_equal(got, got.T)
+
+
+def test_cnn_kernel_counts_past_255_mismatches():
+    # q > 255 keeps the distances in uint16
+    X = hypercube(6, 300, seed=32)
+    X[5] = -X[0]
+    for q in (260, 300):
+        got = cnn_infinite_ntk(X, q, ERF).values
+        assert np.array_equal(got, gemm_cnn_kernel(X, q, cnn_summand(q, ERF))), q
 
 
 def test_kernel_matrix_rejects_unknown_provenance():

@@ -292,6 +292,24 @@ def test_driver_step_is_the_loss_gradient_step(act):
     np.testing.assert_allclose(stepped.v, net.v - eta2 * grad_v, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n, m, d", [(1, 2, 1), (12, 6, 3), (200, 16, 10), (64, 300, 64),
+                                     (500, 300, 50), (5000, 256, 50)])
+def test_first_layer_step_contracts_x_transpose_with_g(n, m, d):
+    net = random_init(m, d, ERF, seed=n)
+    X = gaussian(n, d, seed=m)
+    y = np.sign(X[:, 0])
+    eta1 = 0.4
+    G = phi_prime(ERF, preactivations(net, X)) * (forward(net, X) - y)[:, None]
+    scale = eta1 / (n * math.sqrt(m * d))
+    want = net.W - scale * (net.v[:, None] * (X.T @ G).T)
+    got = gd_step(net, X, y, eta1, 0.0).W
+    assert np.array_equal(got, want)
+    # G.T @ X agrees to the last bits of the largest entry (with OpenBLAS 0.3,
+    # at m = 300 it differs in the last bit: equality above pins the order)
+    plain = net.W - scale * (net.v[:, None] * (G.T @ X))
+    assert np.abs(got - plain).max() <= 1e-15 * np.abs(net.W).max()
+
+
 def fd_loss_gradient(loss, param, eps=1e-5):
     grad = np.empty_like(param)
     flat, gflat = param.ravel(), grad.ravel()
