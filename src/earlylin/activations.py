@@ -407,98 +407,57 @@ def _pl_basis_table(rho: float) -> np.ndarray:
 
 
 def _pl_coefficients(f: ActivationPart, std: float) -> np.ndarray:
-    """Coefficients of f(std * u) over the basis (1, u, relu(u), step(u))."""
+    """Coefficients of f(std * u) over the basis (1, u, relu(u), step(u)), std > 0."""
     a = f.act.negative_slope
-    if std == 0.0:
-        return np.array([f.at_zero(), 0.0, 0.0, 0.0])
     if f.part == "phi":
         return np.array([0.0, a * std, (1.0 - a) * std, 0.0])
     return np.array([a, 0.0, 0.0, 1.0 - a])
 
 
-def _conditional_pl_mean(f: ActivationPart, mean, sd: float):
-    """E[f(N(mean, sd^2))] for a piecewise-linear factor, exact.
+def bivariate_expectation(f: ActivationPart, lam, order: int | None = None) -> float:
+    """E[f(z1) f(z2)] for (z1, z2) ~ N(0, lam), lam a 2x2 covariance.
 
-    E[relu(N(m, s^2))] = m * Phi(m/s) + s * pdf(m/s) with the standard normal
-    cdf/pdf; the step and linear pieces follow the same pattern.
-    """
-    mean = np.asarray(mean, dtype=float)
-    a = f.act.negative_slope
-    t = mean / sd
-    cdf = special.ndtr(t)
-    if f.part == "phi_prime":
-        return a + (1.0 - a) * cdf
-    pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    relu_mean = mean * cdf + sd * pdf
-    return a * mean + (1.0 - a) * relu_mean
-
-
-def bivariate_expectation(f1: ActivationPart, f2: ActivationPart, lam,
-                          order: int | None = None) -> float:
-    """E[f1(z1) f2(z2)] for (z1, z2) ~ N(0, lam), lam a 2x2 covariance.
-
-    Three evaluation paths, chosen by the smoothness of the factors:
-    both smooth        -> tensor-product Gauss-Hermite after Cholesky;
-    both pw-linear     -> exact closed form (half-Gaussian basis table);
-    mixed              -> outer Gauss-Hermite over the smooth factor, exact
-                          conditional expectation of the pw-linear factor.
-    Degenerate lam (|c| = sqrt(ab)) collapses to a univariate integral along
-    the rank-1 direction.
+    Four evaluation paths:
+    a zero variance      -> f(0) times a univariate Gauss-Hermite integral;
+    pw-linear f          -> exact closed form (half-Gaussian basis table);
+    smooth f, rank-1 lam -> univariate integral along the one direction
+                            (|c| = sqrt(ab) up to 1e-12 in the correlation);
+    smooth f, otherwise  -> tensor-product Gauss-Hermite after Cholesky.
     """
     a, b, c = _check_covariance(lam)
     s1, s2 = math.sqrt(a), math.sqrt(b)
 
-    pl1 = f1.act.smoothness == PIECEWISE_LINEAR
-    pl2 = f2.act.smoothness == PIECEWISE_LINEAR
-
     if order is None:
-        order = max(default_order(f1.act), default_order(f2.act))
+        order = default_order(f.act)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
 
-    # Constant factors (zero marginal variance) reduce to a univariate integral.
+    # A constant factor (zero marginal variance) reduces to a univariate integral.
     if s1 == 0.0 or s2 == 0.0:
+        at_zero = f.at_zero()
         if s1 == 0.0 and s2 == 0.0:
-            return f1.at_zero() * f2.at_zero()
-        const, live, s = (f1, f2, s2) if s1 == 0.0 else (f2, f1, s1)
+            return at_zero * at_zero
         q = gauss_hermite(order)
-        return const.at_zero() * float(q.weights @ live(s * q.nodes))
+        return at_zero * float(q.weights @ f(max(s1, s2) * q.nodes))
 
-    if pl1 and pl2:
-        rho = c / (s1 * s2)
-        c1 = _pl_coefficients(f1, s1)
-        c2 = _pl_coefficients(f2, s2)
-        return float(c1 @ _pl_basis_table(rho) @ c2)
-
-    # Disjoint rank-1 case: z2 is a deterministic multiple of z1.
     rho = c / (s1 * s2)
+    if f.act.smoothness == PIECEWISE_LINEAR:
+        return float(_pl_coefficients(f, s1) @ _pl_basis_table(rho)
+                     @ _pl_coefficients(f, s2))
+
+    # Rank-1 case: z2 is a deterministic multiple of z1.
     if abs(rho) >= 1.0 - 1e-12:
         sign = 1.0 if rho > 0 else -1.0
         q = gauss_hermite(order)
         g = q.nodes
-        return float(q.weights @ (f1(s1 * g) * f2(sign * s2 * g)))
+        return float(q.weights @ (f(s1 * g) * f(sign * s2 * g)))
 
-    if pl1 or pl2:
-        # Put the smooth factor on the outer (marginal) variable and integrate
-        # the piecewise-linear factor exactly given the conditional normal law.
-        outer, inner = (f2, f1) if pl1 else (f1, f2)
-        s_out = s2 if pl1 else s1
-        s_in = s1 if pl1 else s2
-        q = gauss_hermite(order)
-        g = q.nodes
-        cond_mean = (c / s_out) * g
-        cond_sd = math.sqrt(max(s_in * s_in - (c / s_out) ** 2, 0.0))
-        if cond_sd == 0.0:  # numerically rank-1 after all
-            return float(q.weights @ (outer(s_out * g) * inner(np.sign(c) * s_in * g)))
-        vals = outer(s_out * g) * _conditional_pl_mean(inner, cond_mean, cond_sd)
-        return float(q.weights @ vals)
-
-    # Smooth x smooth: z1 = l11 g1, z2 = l21 g1 + l22 g2 (Cholesky of lam).
+    # Smooth: z1 = l11 g1, z2 = l21 g1 + l22 g2 (Cholesky of lam).
     l11 = s1
     l21 = c / s1
     l22 = math.sqrt(max(b - l21 * l21, 0.0))
     q = gauss_hermite(order)
     g, w = q.nodes, q.weights
-    v1 = f1(l11 * g)  # depends on g1 only
+    v1 = f(l11 * g)  # depends on g1 only
     z2 = l21 * g[:, None] + l22 * g[None, :]
-    return float((w * v1) @ f2(z2) @ w)
+    return float((w * v1) @ f(z2) @ w)

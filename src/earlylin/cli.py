@@ -8,10 +8,10 @@ the outputs depends on wall-clock time, so identical invocations produce
 byte-identical files.
 
 Exit codes: 0 all configured assertions pass, 1 an assertion failed
-(data files are still written), 2 configuration error, 3 a training run
-diverged (the run is aborted; `failure.json` beside the manifest records the
-subcommand, the step, the MSEs seen there, eta and T, and the records CSV
-holds the rows recorded before the failing step).
+(data files are still written), 2 configuration error (nothing is written),
+3 a training run diverged (the run is aborted; `failure.json` beside the
+manifest records the subcommand, the step, the MSEs seen there, eta and T,
+and the records CSV holds the rows recorded before the failing step).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import math
 import os
 import sys
 import warnings
-
-import numpy as np
 
 from . import __version__
 from .activations import (
@@ -50,6 +48,7 @@ from .datagen import (
     LabelRangeWarning,
     concentration_report,
     identity_covariance,
+    load_matrix,
 )
 from .harness import (
     AblationRecord,
@@ -58,6 +57,7 @@ from .harness import (
     LabelSpec,
     cnn_deviation_experiment,
     coupled_run,
+    default_learning_rate,
     discrepancy_vs_dimension,
     norm_feature_ablation_experiment,
     residual_subspace_decomposition,
@@ -148,10 +148,8 @@ _CHOICE_KEYS = {
     "labels": ("teacher-sign", "norm", "zero"),
     "base": ("gaussian", "rademacher", "uniform-scaled"),
 }
-_NULLABLE = {"order", "eta", "T", "max_spectral_slope", "min_frobenius_slope",
-             "min_r2", "max_train_gap", "max_test_gap", "max_ratio",
-             "min_fraction", "bound_factor", "gram_lo", "gram_hi",
-             "residual_csv", "xtest_csv"}
+_NULLABLE = {key for defaults in DEFAULTS.values()
+             for key, value in defaults.items() if value is None}
 
 
 class ConfigError(Exception):
@@ -223,8 +221,16 @@ def _semantic_errors(subcommand: str, cfg: dict):
             yield key, f"must be >= 1, got {cfg[key]}"
     if cfg.get("m") is not None and cfg["m"] % 2 != 0:
         yield "m", "width must be even (symmetric initialization)"
-    if cfg.get("act") == "leaky-relu" and not math.isfinite(cfg["slope"]):
+    slope_ok = cfg.get("act") != "leaky-relu" or math.isfinite(cfg["slope"])
+    if not slope_ok:
         yield "slope", f"must be finite, got {cfg['slope']}"
+    if slope_ok and "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
+        # The default rate may divide by ln n; d does not decide whether it does.
+        mom = moments(_activation(cfg))
+        try:
+            default_learning_rate(cfg["mode"], 1, cfg["n"], mom)
+        except ValueError as exc:
+            yield "n", f"{exc}; pass --eta to set the rate"
     if cfg.get("T") is not None and cfg["T"] < 0:
         yield "T", f"must be >= 0, got {cfg['T']}"
     if cfg.get("eta") is not None and cfg["eta"] <= 0:
@@ -344,10 +350,10 @@ class Assertion:
 def _coupled_config(cfg: dict, seed_shift: int = 0) -> CoupledRunConfig:
     d = cfg["d"]
     labels = LabelSpec(
-        kind=cfg.get("labels", "norm"),
+        kind=cfg["labels"],
         teacher_width=cfg.get("teacher_width", 5),
         teacher_seed=cfg["seed"] + seed_shift,
-        a_norm=cfg.get("a_norm", 0.5),
+        a_norm=cfg["a_norm"],
         a_seed=cfg.get("a_seed", cfg["seed"]) + seed_shift,
     )
     return CoupledRunConfig(
@@ -361,7 +367,7 @@ def _coupled_config(cfg: dict, seed_shift: int = 0) -> CoupledRunConfig:
         eta=cfg["eta"],
         T=cfg["T"],
         horizon_c=cfg["horizon_c"],
-        n_test=cfg.get("n_test", 2000),
+        n_test=cfg["n_test"],
         record_stride=cfg["record_stride"],
     )
 
@@ -549,7 +555,7 @@ def _run_concentration(cfg, out_dir):
 
 
 def _run_norm_ablation(cfg, out_dir):
-    run_cfg = _coupled_config(cfg | {"labels": "norm", "seeds": 1, "n_test": 0})
+    run_cfg = _coupled_config(cfg | {"labels": "norm", "n_test": 0})
     result = _recorded_run(norm_feature_ablation_experiment, run_cfg,
                            os.path.join(out_dir, "ablation.csv"), AblationRecord)
     _write_csv(os.path.join(out_dir, "summary.csv"),
@@ -565,19 +571,18 @@ def _run_norm_ablation(cfg, out_dir):
     return checks
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-
-
 def _run_decompose(cfg, out_dir):
+    inputs, errors = {}, []
     for key in ("residual_csv", "xtest_csv"):
-        if not os.path.exists(cfg[key]):
-            raise ConfigError([f"/{key}: file not found: {cfg[key]}"])
-    residual = _load_matrix(cfg["residual_csv"]).ravel()
-    X_test = _load_matrix(cfg["xtest_csv"])
+        try:
+            inputs[key] = load_matrix(cfg[key])
+        except OSError as exc:
+            errors.append(f"/{key}: cannot read {cfg[key]}: {exc.strerror}")
+        except (ValueError, csv.Error) as exc:
+            errors.append(f"/{key}: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    residual, X_test = inputs["residual_csv"].ravel(), inputs["xtest_csv"]
     n_test, d = X_test.shape
     if n_test <= d:
         raise ConfigError([
@@ -701,10 +706,11 @@ def run(argv=None) -> int:
     out_dir = args.out if args.out is not None else os.path.join(
         "runs", args.subcommand)
     os.makedirs(out_dir, exist_ok=True)
-    _write_manifest(out_dir, args.subcommand, cfg, raw_file, warnings)
     if os.path.exists(os.path.join(out_dir, "failure.json")):
         os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
 
+    # The manifest is written after the run, so a config error that a runner
+    # finds (a bad `decompose` input file) leaves no file behind.
     try:
         with _label_warnings_as_cli_lines():
             checks = _RUNNERS[args.subcommand](cfg, out_dir)
@@ -713,9 +719,11 @@ def run(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
+        _write_manifest(out_dir, args.subcommand, cfg, raw_file, warnings)
         path = _write_failure(out_dir, args.subcommand, exc)
         print(f"aborted: {exc}; see {path}", file=sys.stderr)
         return 3
+    _write_manifest(out_dir, args.subcommand, cfg, raw_file, warnings)
 
     failed = [c for c in checks if not c.ok]
     for check in checks:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class CovarianceSpec:
     kind: str  # "identity" or "diagonal"
     d: int
     diagonal: tuple[float, ...] | None = None
-    spectrum_bound: float = DEFAULT_SPECTRUM_BOUND
 
     def __post_init__(self):
         if self.kind not in ("identity", "diagonal"):
@@ -65,9 +64,9 @@ class CovarianceSpec:
                 raise ValueError(
                     f"covariance trace must equal d={self.d} (got {spec.sum()!r})"
                 )
-            if float(spec.max()) > self.spectrum_bound:
+            if float(spec.max()) > DEFAULT_SPECTRUM_BOUND:
                 raise ValueError(
-                    f"covariance spectrum entry {spec.max()} exceeds bound {self.spectrum_bound}"
+                    f"covariance spectrum entry {spec.max()} exceeds bound {DEFAULT_SPECTRUM_BOUND}"
                 )
 
     def spectrum(self) -> np.ndarray:
@@ -100,11 +99,10 @@ class DataSpec:
 
 @dataclass
 class Dataset:
-    """Inputs, labels, and a provenance record describing where they came from."""
+    """Inputs and their labels."""
 
     X: np.ndarray
     y: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -209,6 +207,23 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([f"{v:.17g}" for v in dataset.X[i]] + [f"{dataset.y[i]:.17g}"])
 
 
+def _numeric_rows(path, rows, width: int, first_line: int) -> list[list[float]]:
+    """Each row as `width` finite floats; a ValueError names the first bad
+    line, counting the rows from line `first_line`."""
+    values = []
+    for lineno, row in enumerate(rows, start=first_line):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            floats = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(f"{path}: line {lineno}: non-finite field")
+        values.append(floats)
+    return values
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv.
 
@@ -224,21 +239,30 @@ def load_csv(path) -> Dataset:
         d = len(header) - 1
         if d < 1 or header[-1] != "y":
             raise ValueError(f"{path}: expected header x1,...,xd,y, got {header!r}")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: line {lineno}: non-finite field")
-            rows.append(values[:-1])
-            labels.append(values[-1])
-    y = np.asarray(labels, dtype=float)
+        values = _numeric_rows(path, reader, d + 1, first_line=2)
+    data = np.asarray(values, dtype=float).reshape(len(values), d + 1)
+    y = data[:, d].copy()
     _warn_label_range(y, f"labels in {path}")
-    return Dataset(X=np.asarray(rows, dtype=float).reshape(len(rows), d), y=y,
-                   provenance={"source": str(path)})
+    return Dataset(X=data[:, :d].copy(), y=y)
+
+
+def load_matrix(path) -> np.ndarray:
+    """The numeric rows of a CSV file as an array (rows x fields).
+
+    The first line is a header, and skipped, when one of its fields is not a
+    number. Every other line is checked as `load_csv` checks a row, with the
+    field count of the first data row; a file with no data row is rejected.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    first_line = 1
+    if rows:
+        try:
+            list(map(float, rows[0]))
+        except ValueError:  # a header line
+            rows, first_line = rows[1:], 2
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if not rows[0]:
+        raise ValueError(f"{path}: line {first_line}: no fields")
+    return np.asarray(_numeric_rows(path, rows, len(rows[0]), first_line), dtype=float)

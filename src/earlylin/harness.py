@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activations import ERF, RELU, Activation, Moments, moments, nu, phi, phi_prime
+from .activations import ERF, Activation, Moments, moments, nu, phi, phi_prime
 from .datagen import DataSpec, identity_covariance, generate_hypercube, generate_inputs
 from .kernels import (
-    KernelMatrix,
     DecayFit,
     cnn_infinite_ntk,
     decay_fit,
@@ -48,8 +47,8 @@ _THETA0_ZERO_TOL = 1e-12
 class LabelSpec:
     """How training labels are produced.
 
-    teacher-sign : y = sign(f*(x)) for a small random teacher net (erf by
-                   default, width 5); sign(0) = +1.
+    teacher-sign : y = sign(f*(x)) for a small random erf teacher net (width
+                   5 by default); sign(0) = +1.
     norm         : y = ||x||/sqrt(d) + relu(a.x) with a random direction of
                    norm a_norm (labels may leave [-1, 1]; kept raw).
     zero         : y = 0.
@@ -57,7 +56,6 @@ class LabelSpec:
 
     kind: str = "teacher-sign"
     teacher_width: int = 5
-    teacher_act: Activation = ERF
     teacher_seed: int = 0
     a_norm: float = 0.5
     a_seed: int = 0
@@ -73,8 +71,7 @@ def make_labels(X: np.ndarray, spec: LabelSpec) -> np.ndarray:
     if spec.kind == "zero":
         return np.zeros(X.shape[0])
     if spec.kind == "teacher-sign":
-        teacher = random_init(spec.teacher_width, X.shape[1], spec.teacher_act,
-                              spec.teacher_seed)
+        teacher = random_init(spec.teacher_width, X.shape[1], ERF, spec.teacher_seed)
         return labels_teacher_sign(X, teacher)
     rng = np.random.default_rng((spec.a_seed, 4))
     a = rng.standard_normal(X.shape[1])
@@ -95,7 +92,6 @@ class CoupledRunConfig:
     horizon_c: float = DEFAULT_HORIZON_C
     n_test: int = DEFAULT_TEST_SIZE
     record_stride: int = 1
-    quad_order: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("first", "second", "both"):
@@ -139,6 +135,8 @@ def default_learning_rate(mode: str, d: int, n: int, mom: Moments) -> float:
     if mode == "first":
         return 0.1 * d
     if abs(mom.theta0) < _THETA0_ZERO_TOL:
+        if n < 2:
+            raise ValueError(f"the default learning rate 0.1 d/ln(n) needs n >= 2, got n={n}")
         return 0.1 * d / math.log(n)
     return 0.1
 
@@ -155,7 +153,7 @@ def resolve_run(config: CoupledRunConfig):
     """Fill in data, labels, moments, rates, and horizon for a coupled run."""
     d = config.data.d
     n = config.data.n
-    mom = moments(config.act, config.quad_order)
+    mom = moments(config.act)
     nu_val = nu(mom, config.data.covariance, d)
     eta = config.eta if config.eta is not None else default_learning_rate(
         config.mode, d, n, mom)

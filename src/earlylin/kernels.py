@@ -16,12 +16,9 @@ them; row blocks of the n x n result run on every usable core, each element
 summed in the same order whatever the block count. The erf expected kernels
 are Williams' closed forms; the other kinds use quadrature per pair.
 
-Two bivariate-Gaussian conventions coexist deliberately: the first-layer
-expected kernel parameterizes the 2x2 covariance by marginal *variances*
-(entries [[a, c], [c, b]]), while the second-layer one parameterizes it by
-marginal *standard deviations* (entries [[a^2, c], [c, b^2]]). Both are
-implemented exactly as defined; the only place the distinction matters is
-the two `expected_ntk_*` builders below.
+Both expected kernels integrate each pair (z_i, z_j) of the data-induced
+preactivations under one covariance, [[C_ii, C_ij], [C_ij, C_jj]] with
+C = X X^T/d: the marginals are the variances ||x_i||^2/d.
 """
 
 from __future__ import annotations
@@ -41,28 +38,14 @@ from .activations import (
 )
 from .linmodel import norm_feature
 
-PROVENANCES = (
-    "ntk1", "ntk2", "ntk-full",
-    "expected-ntk1", "expected-ntk2",
-    "lin1", "lin2", "lin-full",
-    "cnn-inf",
-)
-
 EXPECTED_NTK_MAX_N = 1024
+# Gauss-Hermite order of the per-pair quadrature of the non-erf expected kernels.
+_EXPECTED_NTK_ORDER = 64
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     values: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown kernel provenance {self.provenance!r}")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,7 +90,7 @@ def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
     C = X @ X.T
     C /= X.shape[1]
     K *= C
-    return KernelMatrix(values=K, provenance="ntk1")
+    return KernelMatrix(values=K)
 
 
 def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
@@ -116,28 +99,34 @@ def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
     from .network import jacobian_second_layer
 
     J2 = jacobian_second_layer(_distinct_neurons(net, signs=False), X)
-    return KernelMatrix(values=J2 @ J2.T, provenance="ntk2")
+    return KernelMatrix(values=J2 @ J2.T)
 
 
 def ntk_full(net, X: np.ndarray) -> KernelMatrix:
     """First- plus second-layer tangent kernel."""
     K1 = ntk_first_layer(net, X)
     K2 = ntk_second_layer(net, X)
-    return KernelMatrix(values=K1.values + K2.values, provenance="ntk-full")
+    return KernelMatrix(values=K1.values + K2.values)
 
 
-def _expected_ntk_entries(X: np.ndarray, entry_fn) -> np.ndarray:
-    n = X.shape[0]
+def _pair_expectations(C: np.ndarray, f) -> np.ndarray:
+    """E[f(z_i) f(z_j)] for every pair (z_i, z_j) ~ N(0, [[C_ii, C_ij], [C_ij, C_jj]]),
+    each from one `bivariate_expectation` over the lower triangle, mirrored."""
+    n = C.shape[0]
     if n > EXPECTED_NTK_MAX_N:
         raise ValueError(
             f"expected-kernel quadrature is O(n^2 order^2); n={n} exceeds the "
             f"cap {EXPECTED_NTK_MAX_N}"
         )
-    K = np.empty((n, n))
+    a = np.diag(C)
+    E = np.empty((n, n))
     for i in range(n):
         for j in range(i + 1):
-            K[i, j] = K[j, i] = entry_fn(i, j)
-    return K
+            bound = math.sqrt(a[i] * a[j])
+            c = min(max(C[i, j], -bound), bound)  # Cauchy-Schwarz can be violated by fp error
+            E[i, j] = E[j, i] = bivariate_expectation(
+                f, [[a[i], c], [c, a[j]]], order=_EXPECTED_NTK_ORDER)
+    return E
 
 
 def _erf_covariances(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,62 +137,36 @@ def _erf_covariances(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(C, -bound, bound), np.outer(1.0 + 2.0 * a, 1.0 + 2.0 * a)
 
 
-def expected_ntk_first(X: np.ndarray, act: Activation, order: int = 64) -> KernelMatrix:
+def expected_ntk_first(X: np.ndarray, act: Activation) -> KernelMatrix:
     """Infinite-width first-layer kernel: entries (x_i.x_j/d) E[phi'(z_i) phi'(z_j)]
     under the data-induced covariance with variances ||x_i||^2/d.
 
     For erf, Williams' closed form ("Computing with Infinite Networks", NIPS
     1997), C (4/pi) / sqrt((1+2a)(1+2b) - 4c^2), for every n; other kinds use
-    `order`-point quadrature per pair, for n up to EXPECTED_NTK_MAX_N.
+    order-64 quadrature per pair, for n up to EXPECTED_NTK_MAX_N.
     """
-    if order < 32:
-        raise ValueError("expected-kernel quadrature needs order >= 32")
     d = X.shape[1]
     C = X @ X.T / d
     if act.kind == "erf":
         c, P = _erf_covariances(C)
-        K = C * (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2)
-        return KernelMatrix(values=K, provenance="expected-ntk1")
-    a = np.diag(C).copy()
-    fp = phi_prime_part(act)
-
-    def entry(i, j):
-        c = C[i, j]
-        bound = math.sqrt(a[i] * a[j])
-        c = min(max(c, -bound), bound)  # Cauchy-Schwarz can be violated by fp error
-        lam = np.array([[a[i], c], [c, a[j]]])
-        return C[i, j] * bivariate_expectation(fp, fp, lam, order=order)
-
-    return KernelMatrix(values=_expected_ntk_entries(X, entry), provenance="expected-ntk1")
+        return KernelMatrix(values=C * (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2))
+    return KernelMatrix(values=C * _pair_expectations(C, phi_prime_part(act)))
 
 
-def expected_ntk_second(X: np.ndarray, act: Activation, order: int = 64) -> KernelMatrix:
-    """Infinite-width second-layer kernel: entries E[phi(z_i) phi(z_j)] where the
-    marginal standard deviations are ||x_i||/sqrt(d) (note: stds, not variances).
+def expected_ntk_second(X: np.ndarray, act: Activation) -> KernelMatrix:
+    """Infinite-width second-layer kernel: entries E[phi(z_i) phi(z_j)] under the
+    data-induced covariance with variances ||x_i||^2/d.
 
-    For erf, Williams' closed form (2/pi) arcsin(2c / sqrt((1+2a)(1+2b))) in
-    the variances a, b, for every n; other kinds use `order`-point quadrature
-    per pair, for n up to EXPECTED_NTK_MAX_N.
+    For erf, Williams' closed form (2/pi) arcsin(2c / sqrt((1+2a)(1+2b))), for
+    every n; other kinds use order-64 quadrature per pair, for n up to
+    EXPECTED_NTK_MAX_N.
     """
-    if order < 32:
-        raise ValueError("expected-kernel quadrature needs order >= 32")
     d = X.shape[1]
     C = X @ X.T / d
     if act.kind == "erf":
         c, P = _erf_covariances(C)
-        K = (2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P))
-        return KernelMatrix(values=K, provenance="expected-ntk2")
-    s = np.sqrt(np.diag(C))
-    f = phi_part(act)
-
-    def entry(i, j):
-        c = C[i, j]
-        bound = s[i] * s[j]
-        c = min(max(c, -bound), bound)
-        lam = np.array([[s[i] ** 2, c], [c, s[j] ** 2]])
-        return bivariate_expectation(f, f, lam, order=order)
-
-    return KernelMatrix(values=_expected_ntk_entries(X, entry), provenance="expected-ntk2")
+        return KernelMatrix(values=(2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P)))
+    return KernelMatrix(values=_pair_expectations(C, phi_part(act)))
 
 
 def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> KernelMatrix:
@@ -228,7 +191,7 @@ def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> K
             K = (2.0 * z2 * G + 1.5 * n2) / d + np.outer(q, q)
     else:
         raise ValueError(f"which must be lin1, lin2 or lin-full, got {which!r}")
-    return KernelMatrix(values=K, provenance=which)
+    return KernelMatrix(values=K)
 
 
 def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
@@ -250,10 +213,10 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     rho_values = (q_filter - 2.0 * np.arange(q_filter + 1)) / q_filter  # 1, 1-2/q, ..., -1
     f, fp = phi_part(act), phi_prime_part(act)
     P_tab = np.array([
-        bivariate_expectation(f, f, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
+        bivariate_expectation(f, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
     ])
     Q_tab = np.array([
-        bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
+        bivariate_expectation(fp, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
     ])
     summand = P_tab + Q_tab * rho_values
 
@@ -285,7 +248,7 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
         acc_ /= d
 
     run_in_blocks(rows, n, n * n)
-    return KernelMatrix(values=acc, provenance="cnn-inf")
+    return KernelMatrix(values=acc)
 
 
 def spectral_norm(A: np.ndarray) -> float:

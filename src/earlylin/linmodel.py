@@ -19,7 +19,6 @@ import numpy as np
 from .activations import Moments
 
 MODES = ("first", "second", "both")
-EIGH_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,8 @@ class LinearTrainable:
 
 def closed_form_trajectory(K, y: np.ndarray, eta: float, ts) -> np.ndarray:
     """Closed-form predictions u(t) = y - (I - eta K / n)^t y of GD from zero
-    on a kernel K, stacked for each step count t in ts.
-
-    Uses a symmetric eigendecomposition up to n = 2000, and t repeated
-    matrix-vector products beyond that.
+    on a kernel K, stacked for each step count t in ts, from a symmetric
+    eigendecomposition of K.
     """
     values = K.values if hasattr(K, "values") else np.asarray(K, dtype=float)
     n = values.shape[0]
@@ -109,21 +106,9 @@ def closed_form_trajectory(K, y: np.ndarray, eta: float, ts) -> np.ndarray:
     if any(t < 0 for t in ts):
         raise ValueError("step counts must be >= 0")
     out = np.empty((len(ts), n))
-    if n <= EIGH_MAX_N:
-        evals, evecs = np.linalg.eigh(values)
-        z = evecs.T @ y
-        factors = 1.0 - eta * evals / n
-        for k, t in enumerate(ts):
-            out[k] = y - evecs @ (np.power(factors, t) * z)
-        return out
-    step = np.eye(n) - eta * values / n
-    order = np.argsort(ts)
-    r = y.copy()
-    done = 0
-    for k in order:
-        t = ts[k]
-        for _ in range(t - done):
-            r = step @ r
-        done = t
-        out[k] = y - r
+    evals, evecs = np.linalg.eigh(values)
+    z = evecs.T @ y
+    factors = 1.0 - eta * evals / n
+    for k, t in enumerate(ts):
+        out[k] = y - evecs @ (np.power(factors, t) * z)
     return out

@@ -443,28 +443,28 @@ def erf_pair_expectation(c, s1=1.0, s2=1.0):
 @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.25, 0.7, 1.0])
 def test_erf_product_matches_arcsin_formula(rho):
     f = phi_part(ERF)
-    got = bivariate_expectation(f, f, [[1.0, rho], [rho, 1.0]])
+    got = bivariate_expectation(f, [[1.0, rho], [rho, 1.0]])
     np.testing.assert_allclose(got, erf_pair_expectation(rho), atol=1e-10)
 
 
 def test_erf_product_nonunit_variances():
     f = phi_part(ERF)
     lam = [[2.25, -0.6], [-0.6, 0.49]]
-    got = bivariate_expectation(f, f, lam)
+    got = bivariate_expectation(f, lam)
     np.testing.assert_allclose(got, erf_pair_expectation(-0.6, 1.5, 0.7), atol=1e-10)
 
 
 def test_independent_factorizes_to_product_of_means():
     fp = phi_prime_part(ERF)
     m = moments(ERF)
-    got = bivariate_expectation(fp, fp, [[1.0, 0.0], [0.0, 1.0]])
+    got = bivariate_expectation(fp, [[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(got, m.zeta**2, rtol=1e-10)
 
 
 def test_full_correlation_gives_second_moment():
     fp = phi_prime_part(ERF)
     m = moments(ERF)
-    got = bivariate_expectation(fp, fp, [[1.0, 1.0], [1.0, 1.0]])
+    got = bivariate_expectation(fp, [[1.0, 1.0], [1.0, 1.0]])
     np.testing.assert_allclose(got, m.gamma, rtol=1e-9)
 
 
@@ -474,26 +474,26 @@ def test_relu_product_special_points():
     f = phi_part(RELU)
     # independent: E[relu]^2; identical: E[relu^2] = 1/2; opposite: 0
     np.testing.assert_allclose(
-        bivariate_expectation(f, f, [[1, 0], [0, 1]]), KAPPA**2, rtol=1e-12)
+        bivariate_expectation(f, [[1, 0], [0, 1]]), KAPPA**2, rtol=1e-12)
     np.testing.assert_allclose(
-        bivariate_expectation(f, f, [[1, 1], [1, 1]]), 0.5, rtol=1e-12)
-    assert bivariate_expectation(f, f, [[1, -1], [-1, 1]]) == pytest.approx(0.0, abs=1e-12)
+        bivariate_expectation(f, [[1, 1], [1, 1]]), 0.5, rtol=1e-12)
+    assert bivariate_expectation(f, [[1, -1], [-1, 1]]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_relu_prime_product_is_orthant_probability():
     fp = phi_prime_part(RELU)
     for rho in (-0.5, 0.0, 0.3, 0.8):
         want = (math.pi - math.acos(rho)) / (2.0 * math.pi)
-        got = bivariate_expectation(fp, fp, [[1.0, rho], [rho, 1.0]])
+        got = bivariate_expectation(fp, [[1.0, rho], [rho, 1.0]])
         np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"rho={rho}")
 
 
-def mc_pair(f1, f2, lam, n=4_000_000, seed=2024):
+def mc_pair(f, lam, n=4_000_000, seed=2024):
     lam = np.asarray(lam, dtype=float)
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(lam + 1e-15 * np.eye(2))
     G = rng.standard_normal((n, 2)) @ L.T
-    vals = f1(G[:, 0]) * f2(G[:, 1])
+    vals = f(G[:, 0]) * f(G[:, 1])
     return vals.mean(), vals.std() / math.sqrt(n)
 
 
@@ -503,60 +503,36 @@ def mc_pair(f1, f2, lam, n=4_000_000, seed=2024):
 ])
 def test_relu_pair_against_monte_carlo(lam):
     f = phi_part(RELU)
-    got = bivariate_expectation(f, f, lam)
-    est, se = mc_pair(f, f, lam)
+    got = bivariate_expectation(f, lam)
+    est, se = mc_pair(f, lam)
     assert abs(got - est) < 4 * se
-
-
-@pytest.mark.parametrize("slope", [0.0, 0.3])
-def test_mixed_smooth_pl_pair_against_monte_carlo(slope):
-    act = RELU if slope == 0.0 else leaky_relu(slope)
-    f_pl = phi_part(act)
-    f_sm = phi_part(ERF)
-    lam = [[1.0, 0.4], [0.4, 0.64]]
-    got = bivariate_expectation(f_sm, f_pl, lam)
-    est, se = mc_pair(f_sm, f_pl, lam)
-    assert abs(got - est) < 4 * se
-    # and symmetric argument order agrees
-    flipped = bivariate_expectation(f_pl, f_sm, [[0.64, 0.4], [0.4, 1.0]])
-    np.testing.assert_allclose(flipped, got, rtol=1e-8)
-
-
-def test_mixed_pair_identity_times_relu_closed_form():
-    # E[g1 relu(g2)] = c E[step] + 0 ... reduces to c/2 + 0 for unit marginals?
-    # Direct: E[g1 relu(g2)] = cov * E[relu'(g2)] = c/2 by Stein on g2.
-    f_id = phi_part(IDENTITY)
-    f_relu = phi_part(RELU)
-    for c in (-0.7, 0.2, 0.9):
-        got = bivariate_expectation(f_id, f_relu, [[1.0, c], [c, 1.0]])
-        np.testing.assert_allclose(got, c / 2.0, atol=1e-10)
 
 
 def test_degenerate_rank_one_covariance():
     # c = s1 s2 means g2 = (s2/s1) g1 almost surely
     f = phi_part(RELU)
-    got = bivariate_expectation(f, f, [[4.0, 2.0], [2.0, 1.0]])
+    got = bivariate_expectation(f, [[4.0, 2.0], [2.0, 1.0]])
     # E[relu(2g) relu(g)] = 2 E[relu(g)^2] = 1
     np.testing.assert_allclose(got, 1.0, rtol=1e-10)
 
 
 def test_zero_variance_factor_pins_value_at_zero():
     f = phi_part(RELU)
-    got = bivariate_expectation(f, f, [[0.0, 0.0], [0.0, 1.0]])
+    got = bivariate_expectation(f, [[0.0, 0.0], [0.0, 1.0]])
     assert got == pytest.approx(0.0, abs=1e-14)  # relu(0) * E[relu] = 0
 
 
 def test_bivariate_rejects_non_psd():
     f = phi_part(ERF)
     with pytest.raises(ValueError):
-        bivariate_expectation(f, f, [[1.0, 2.0], [2.0, 1.0]])
+        bivariate_expectation(f, [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_bivariate_smooth_convergence_in_order():
     f = phi_part(TANH)
     lam = [[1.0, 0.6], [0.6, 1.0]]
-    lo = bivariate_expectation(f, f, lam, order=48)
-    hi = bivariate_expectation(f, f, lam, order=128)
+    lo = bivariate_expectation(f, lam, order=48)
+    hi = bivariate_expectation(f, lam, order=128)
     np.testing.assert_allclose(lo, hi, atol=1e-8)
 
 
@@ -565,17 +541,16 @@ SWAP_PARTS = [part(act) for act in ALL_ACTS + [leaky_relu(-0.5)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(f=st.sampled_from(SWAP_PARTS), g=st.sampled_from(SWAP_PARTS),
+@given(f=st.sampled_from(SWAP_PARTS),
        a=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        b=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
-def test_bivariate_expectation_is_symmetric_under_a_swap(f, g, a, b, rho):
+def test_bivariate_expectation_is_symmetric_under_a_swap(f, a, b, rho):
     c = rho * math.sqrt(a * b)
-    got = bivariate_expectation(f, g, [[a, c], [c, b]])
-    swapped = bivariate_expectation(g, f, [[b, c], [c, a]])
-    smooth = f.act.smoothness == g.act.smoothness == "smooth"
-    # Two smooth factors are integrated along the other Cholesky factor once
+    got = bivariate_expectation(f, [[a, c], [c, b]])
+    swapped = bivariate_expectation(f, [[b, c], [c, a]])
+    # A smooth factor is integrated along the other Cholesky factor once
     # swapped, so the two differ by the quadrature error (below 1e-8 at
-    # variances up to 1); any other pair has one exact integral.
-    tol = 1e-7 if smooth else 4e-16
+    # variances up to 1); a piecewise-linear one has an exact closed form.
+    tol = 1e-7 if f.act.smoothness == "smooth" else 4e-16
     assert abs(got - swapped) <= tol * max(1.0, abs(got))

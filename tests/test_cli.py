@@ -17,6 +17,15 @@ def read_tree(root):
     return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
 
 
+def cli_process(*args, cwd):
+    """`earlylin <args>` run in a fresh interpreter, exactly as a user types it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "earlylin.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
 # ------------------------------------------------------------- validation
 
 def test_empty_config_fills_all_defaults():
@@ -222,6 +231,73 @@ def test_decompose_bad_shapes_are_config_errors(tmp_path, capsys, x_shape,
     assert not (out / "decomposition.csv").exists()
 
 
+def test_decompose_reads_files_with_and_without_a_header_alike(tmp_path):
+    rng = np.random.default_rng(1)
+    X, residual = rng.standard_normal((30, 4)), rng.standard_normal(30)
+    np.savetxt(tmp_path / "x.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "r.csv", residual, delimiter=",")
+    with open(tmp_path / "xh.csv", "w") as fh:
+        fh.write("x1,x2,x3,x4\n")
+        np.savetxt(fh, X, delimiter=",")
+    with open(tmp_path / "rh.csv", "w") as fh:
+        fh.write("residual\n")
+        np.savetxt(fh, residual, delimiter=",")
+    outputs = []
+    for x, r in (("x.csv", "r.csv"), ("xh.csv", "rh.csv")):
+        out = tmp_path / f"out-{x}"
+        assert run(["decompose", "--residual-csv", str(tmp_path / r),
+                    "--xtest-csv", str(tmp_path / x), "--out", str(out)]) == 0
+        outputs.append((out / "decomposition.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("xtest, reason", [
+    ("1,2,3\n4,nan,6\n" + "7,8,9\n" * 4, "line 2: non-finite field"),
+    ("1,2,3\n4,5\n" + "7,8,9\n" * 4, "line 2: expected 3 fields, got 2"),
+    ("a,b,c\nd,e,f\n" + "7,8,9\n" * 4, "line 2: non-numeric field"),
+    ("", "no data rows"),
+    ("a,b,c\n", "no data rows"),
+    (None, "Is a directory"),
+])
+def test_decompose_bad_input_files_are_config_errors(tmp_path, capsys, xtest, reason):
+    np.savetxt(tmp_path / "residual.csv", np.ones(6), delimiter=",")
+    xtest_path = tmp_path / "inputs"  # a directory unless it gets content
+    xtest_path.mkdir()
+    if xtest is not None:
+        xtest_path = tmp_path / "xtest.csv"
+        xtest_path.write_text(xtest)
+    out = tmp_path / "out"
+    code = run(["decompose", "--residual-csv", str(tmp_path / "residual.csv"),
+                "--xtest-csv", str(xtest_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("config error: /xtest_csv: ") and reason in err, err
+    assert list(out.iterdir()) == []  # not even a manifest
+
+
+@pytest.mark.parametrize("args", [
+    ("agreement", "--n", "1", "--n-test", "0", "--m", "4", "--d", "3"),
+    ("norm-ablation", "--act", "erf", "--n", "1", "--m", "2", "--d", "2"),
+])
+def test_one_sample_with_the_log_rate_rule_is_a_config_error(tmp_path, args):
+    # the default rate of a mode that trains v with E[phi(g)] = 0 is 0.1 d / ln n
+    proc = cli_process(*args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("config error: /n: ") and "--eta" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("agreement", "--n", "1", "--n-test", "0", "--m", "4", "--d", "3", "--eta", "0.1"),
+    ("agreement", "--n", "1", "--n-test", "0", "--m", "4", "--d", "3", "--mode", "first"),
+    ("norm-ablation", "--n", "1", "--m", "2", "--d", "2"),  # relu: E[phi(g)] > 0
+])
+def test_one_sample_runs_where_the_log_rate_rule_is_not_used(tmp_path, args):
+    assert run([*args, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("eta", ["1e6", "1e300"])  # blows up; overflows to inf
 def test_divergence_aborts_with_a_failure_record(tmp_path, capsys, eta):
     out = tmp_path / "out"
@@ -312,14 +388,9 @@ def test_spectral_decay_needs_three_distinct_dimensions(tmp_path, capsys):
 
 
 def test_label_range_warnings_print_in_the_cli_format(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "earlylin.cli", "norm-ablation", "--mode", "second",
-         "--d", "20", "--n", "300", "--m", "32", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = cli_process("norm-ablation", "--mode", "second", "--d", "20", "--n", "300",
+                       "--m", "32", "--out", str(out), cwd=None)
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
     assert lines and all(line.startswith("warning: ") for line in lines), proc.stderr
@@ -329,13 +400,7 @@ def test_label_range_warnings_print_in_the_cli_format(tmp_path):
 
 
 def test_moments_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
-    # `earlylin moments --act relu --order 2`, exactly as a user types it
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "earlylin.cli", "moments", "--act", "relu", "--order", "2"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    proc = cli_process("moments", "--act", "relu", "--order", "2", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == ("config error: /order: piecewise-linear activations need "
                            "order >= 64, got 2\n")
@@ -343,14 +408,8 @@ def test_moments_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
 
 
 def test_cnn_ntk_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
-    # `earlylin cnn-ntk --act relu --order 2 ...`, exactly as a user types it
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "earlylin.cli", "cnn-ntk", "--act", "relu", "--order", "2",
-         "--d", "8", "--q", "2", "--n", "16"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    proc = cli_process("cnn-ntk", "--act", "relu", "--order", "2", "--d", "8", "--q", "2",
+                       "--n", "16", cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == ("config error: /order: piecewise-linear activations need "
                            "order >= 64, got 2\n")

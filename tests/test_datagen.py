@@ -215,7 +215,7 @@ def test_concentration_single_row():
 def test_csv_roundtrip_is_lossless(tmp_path):
     X = generate_inputs(spec(20, 3, seed=6))
     y = np.tanh(X[:, 0])  # keeps |y| <= 1
-    ds = Dataset(X=X, y=y, provenance={"source": "synthetic"})
+    ds = Dataset(X=X, y=y)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     back = load_csv(path)

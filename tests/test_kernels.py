@@ -23,7 +23,6 @@ from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, iden
 from earlylin.kernels import (
     EXPECTED_NTK_MAX_N,
     DecayFit,
-    KernelMatrix,
     cnn_infinite_ntk,
     decay_fit,
     expected_ntk_first,
@@ -118,7 +117,6 @@ def test_full_kernel_is_the_sum_of_the_layer_kernels():
     np.testing.assert_allclose(K.values, K1.values + K2.values, atol=1e-14)
     assert math.isclose(np.trace(K.values),
                         np.trace(K1.values) + np.trace(K2.values), rel_tol=1e-12)
-    assert K.provenance == "ntk-full"
 
 
 @pytest.mark.parametrize("builder", [ntk_first_layer, ntk_second_layer, ntk_full])
@@ -214,15 +212,36 @@ def test_expected_erf_kernels_have_no_size_cap():
 
 
 def test_expected_kernel_guards():
-    X = gaussian(2, 4)
-    for act in (ERF, TANH):
-        with pytest.raises(ValueError, match="order"):
-            expected_ntk_first(X, act, order=16)
     big = np.ones((EXPECTED_NTK_MAX_N + 1, 2))
     with pytest.raises(ValueError, match="exceeds the"):
         expected_ntk_first(big, TANH)
     with pytest.raises(ValueError, match="exceeds the"):
         expected_ntk_second(big, TANH)
+
+
+@pytest.mark.parametrize("act", [TANH, RELU], ids=lambda a: a.kind)
+def test_expected_kernels_equal_their_per_pair_expectations(act):
+    # A zero row (zero variance) and an antipodal pair (rho = -1) beside
+    # generic rows; each entry is one order-64 expectation under
+    # [[C_ii, C_ij], [C_ij, C_jj]], taken over the lower triangle and mirrored.
+    X = gaussian(6, 5, seed=33)
+    X = np.vstack([X, np.zeros((1, 5)), -X[:1]])
+    n, C = X.shape[0], X @ X.T / 5
+    a = np.diag(C)
+    for build, part, scale in ((expected_ntk_first, phi_prime_part, C),
+                               (expected_ntk_second, phi_part, 1.0)):
+        want = np.empty((n, n))
+        for i in range(n):
+            for j in range(i + 1):
+                bound = math.sqrt(a[i] * a[j])
+                c = min(max(C[i, j], -bound), bound)
+                want[i, j] = want[j, i] = bivariate_expectation(
+                    part(act), [[a[i], c], [c, a[j]]], order=64)
+        want *= scale
+        got = build(X, act).values
+        assert np.array_equal(got, got.T), build.__name__
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max(),
+                                   err_msg=build.__name__)
 
 
 def test_first_layer_empirical_kernel_concentrates_to_the_expected_one():
@@ -573,8 +592,8 @@ def test_cnn_kernel_equals_its_plain_expression_exactly(act):
     n, d, q = 20, 12, 4
     rho_values = (q - 2.0 * np.arange(q + 1)) / q
     f, fp = phi_part(act), phi_prime_part(act)
-    P = np.array([bivariate_expectation(f, f, [[1.0, r], [r, 1.0]]) for r in rho_values])
-    Q = np.array([bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]]) for r in rho_values])
+    P = np.array([bivariate_expectation(f, [[1.0, r], [r, 1.0]]) for r in rho_values])
+    Q = np.array([bivariate_expectation(fp, [[1.0, r], [r, 1.0]]) for r in rho_values])
     for layout, X in layouts(hypercube(n, d, seed=24)):
         Xc = np.concatenate([X, X[:, : q - 1]], axis=1)
         acc = np.zeros((n, n))
@@ -610,8 +629,8 @@ def gemm_cnn_kernel(X, q, summand):
 def cnn_summand(q, act):
     rho = (q - 2.0 * np.arange(q + 1)) / q
     f, fp = phi_part(act), phi_prime_part(act)
-    P = np.array([bivariate_expectation(f, f, [[1.0, r], [r, 1.0]]) for r in rho])
-    Q = np.array([bivariate_expectation(fp, fp, [[1.0, r], [r, 1.0]]) for r in rho])
+    P = np.array([bivariate_expectation(f, [[1.0, r], [r, 1.0]]) for r in rho])
+    Q = np.array([bivariate_expectation(fp, [[1.0, r], [r, 1.0]]) for r in rho])
     return P + Q * rho
 
 
@@ -651,7 +670,3 @@ def test_cnn_kernel_counts_past_255_mismatches():
         got = cnn_infinite_ntk(X, q, ERF).values
         assert np.array_equal(got, gemm_cnn_kernel(X, q, cnn_summand(q, ERF))), q
 
-
-def test_kernel_matrix_rejects_unknown_provenance():
-    with pytest.raises(ValueError, match="provenance"):
-        KernelMatrix(values=np.eye(2), provenance="mystery")

@@ -236,8 +236,8 @@ def test_closed_form_rejects_negative_steps():
 
 
 def test_closed_form_large_n_path_matches_low_rank_oracle():
-    # n above the eigendecomposition cap exercises the repeated-multiply
-    # branch; a rank-30 K admits an exact analytic trajectory to check it.
+    # a rank-30 K at n = 2050 admits an exact analytic trajectory; the step
+    # counts come unsorted and with a duplicate.
     n, r, eta = 2050, 30, 3.0
     rng = np.random.default_rng(9)
     B = rng.standard_normal((n, r)) / math.sqrt(n)
