@@ -181,7 +181,10 @@ def _coerce(key: str, value):
     if key in _FLOAT_KEYS:
         if isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        return value
     if key in _CHOICE_KEYS:
         value = str(value)
         if value not in _CHOICE_KEYS[key]:
@@ -221,10 +224,7 @@ def _semantic_errors(subcommand: str, cfg: dict):
             yield key, f"must be >= 1, got {cfg[key]}"
     if cfg.get("m") is not None and cfg["m"] % 2 != 0:
         yield "m", "width must be even (symmetric initialization)"
-    slope_ok = cfg.get("act") != "leaky-relu" or math.isfinite(cfg["slope"])
-    if not slope_ok:
-        yield "slope", f"must be finite, got {cfg['slope']}"
-    if slope_ok and "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
+    if "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
         # The default rate may divide by ln n; d does not decide whether it does.
         mom = moments(_activation(cfg))
         try:
@@ -237,8 +237,8 @@ def _semantic_errors(subcommand: str, cfg: dict):
         yield "eta", f"must be > 0, got {cfg['eta']}"
     if "horizon_c" in cfg and cfg["horizon_c"] <= 0:
         yield "horizon_c", f"must be > 0, got {cfg['horizon_c']}"
-    if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= 256:
-        yield "order", f"must be in [1, 256], got {cfg['order']}"
+    if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= MAX_ORDER:
+        yield "order", f"must be in [1, {MAX_ORDER}], got {cfg['order']}"
     elif (subcommand in ("moments", "cnn-ntk") and cfg["order"] is not None
           and cfg["order"] < PIECEWISE_MIN_ORDER
           and Activation(cfg["act"]).smoothness == PIECEWISE_LINEAR):
@@ -705,7 +705,11 @@ def run(argv=None) -> int:
 
     out_dir = args.out if args.out is not None else os.path.join(
         "runs", args.subcommand)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path under one
+        print(f"config error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     if os.path.exists(os.path.join(out_dir, "failure.json")):
         os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
 

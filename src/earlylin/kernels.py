@@ -1,5 +1,6 @@
-"""Tangent-kernel matrices, their quadrature-based expectations, linear-model
-kernels, the infinite-width CNN kernel on the hypercube, and spectral tooling.
+"""Tangent-kernel matrices, their closed-form infinite-width expectations,
+linear-model kernels, the infinite-width CNN kernel on the hypercube, and
+spectral tooling.
 
 Builders need no symmetrizing pass: Gram products A A^T (one BLAS triangle,
 mirrored), their elementwise products, q q^T and lookups on integer patch
@@ -13,17 +14,17 @@ the order of the additions. The CNN kernel keeps the Hamming distances of the
 patches at one offset as small integers, moves them to the next offset by the
 two positions that leave and enter the window, and looks its table up at
 them; row blocks of the n x n result run on every usable core, each element
-summed in the same order whatever the block count. The erf expected kernels
-are Williams' closed forms; the other kinds use quadrature per pair.
+summed in the same order whatever the block count.
 
-Both expected kernels integrate each pair (z_i, z_j) of the data-induced
+The expected kernels take each pair (z_i, z_j) of the data-induced
 preactivations under one covariance, [[C_ii, C_ij], [C_ij, C_jj]] with
-C = X X^T/d: the marginals are the variances ||x_i||^2/d.
+C = X X^T/d, in closed form over the whole n x n array: Williams' for erf,
+the arc-cosine kernels for relu, leaky-relu and identity
+(`activations.bivariate_expectation`). The other kinds have none and raise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,15 +33,9 @@ from .activations import (
     Activation,
     Moments,
     bivariate_expectation,
-    phi_part,
-    phi_prime_part,
     run_in_blocks,
 )
 from .linmodel import norm_feature
-
-EXPECTED_NTK_MAX_N = 1024
-# Gauss-Hermite order of the per-pair quadrature of the non-erf expected kernels.
-_EXPECTED_NTK_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -102,71 +97,33 @@ def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
     return KernelMatrix(values=J2 @ J2.T)
 
 
-def ntk_full(net, X: np.ndarray) -> KernelMatrix:
-    """First- plus second-layer tangent kernel."""
-    K1 = ntk_first_layer(net, X)
-    K2 = ntk_second_layer(net, X)
-    return KernelMatrix(values=K1.values + K2.values)
-
-
-def _pair_expectations(C: np.ndarray, f) -> np.ndarray:
-    """E[f(z_i) f(z_j)] for every pair (z_i, z_j) ~ N(0, [[C_ii, C_ij], [C_ij, C_jj]]),
-    each from one `bivariate_expectation` over the lower triangle, mirrored."""
-    n = C.shape[0]
-    if n > EXPECTED_NTK_MAX_N:
-        raise ValueError(
-            f"expected-kernel quadrature is O(n^2 order^2); n={n} exceeds the "
-            f"cap {EXPECTED_NTK_MAX_N}"
-        )
+def _expected_pairs(X: np.ndarray, act: Activation, part: str):
+    """C = X X^T/d and E[f(z_i) f(z_j)] over every pair, f = phi or phi' (`part`)."""
+    if act.kind in ("tanh", "sigmoid", "softplus"):
+        raise ValueError(f"the {act.kind} expected kernels have no closed form; "
+                         "erf, relu, leaky-relu and identity do")
+    d = X.shape[1]
+    C = X @ X.T / d
     a = np.diag(C)
-    E = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            bound = math.sqrt(a[i] * a[j])
-            c = min(max(C[i, j], -bound), bound)  # Cauchy-Schwarz can be violated by fp error
-            E[i, j] = E[j, i] = bivariate_expectation(
-                f, [[a[i], c], [c, a[j]]], order=_EXPECTED_NTK_ORDER)
-    return E
-
-
-def _erf_covariances(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the pairs (z_i, z_j) ~ N(0, [[a, c], [c, b]]) of C = X X^T/d: c
-    clipped to Cauchy-Schwarz (fp error can break it), and (1+2a)(1+2b)."""
-    a = np.diag(C)
-    bound = np.sqrt(np.outer(a, a))
-    return np.clip(C, -bound, bound), np.outer(1.0 + 2.0 * a, 1.0 + 2.0 * a)
+    if act.kind != "erf" and not np.all(a > 0):
+        raise ValueError("a zero row has no Gaussian preactivation: its "
+                         f"{act.kind} kernel entries depend on the convention at 0")
+    return C, bivariate_expectation(act, part, a[:, None], a[None, :], C)
 
 
 def expected_ntk_first(X: np.ndarray, act: Activation) -> KernelMatrix:
     """Infinite-width first-layer kernel: entries (x_i.x_j/d) E[phi'(z_i) phi'(z_j)]
-    under the data-induced covariance with variances ||x_i||^2/d.
-
-    For erf, Williams' closed form ("Computing with Infinite Networks", NIPS
-    1997), C (4/pi) / sqrt((1+2a)(1+2b) - 4c^2), for every n; other kinds use
-    order-64 quadrature per pair, for n up to EXPECTED_NTK_MAX_N.
-    """
-    d = X.shape[1]
-    C = X @ X.T / d
-    if act.kind == "erf":
-        c, P = _erf_covariances(C)
-        return KernelMatrix(values=C * (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2))
-    return KernelMatrix(values=C * _pair_expectations(C, phi_prime_part(act)))
+    under the data-induced covariance with variances ||x_i||^2/d, in closed
+    form for erf, relu, leaky-relu and identity; ValueError for other kinds."""
+    C, E = _expected_pairs(X, act, "phi_prime")
+    return KernelMatrix(values=C * E)
 
 
 def expected_ntk_second(X: np.ndarray, act: Activation) -> KernelMatrix:
     """Infinite-width second-layer kernel: entries E[phi(z_i) phi(z_j)] under the
-    data-induced covariance with variances ||x_i||^2/d.
-
-    For erf, Williams' closed form (2/pi) arcsin(2c / sqrt((1+2a)(1+2b))), for
-    every n; other kinds use order-64 quadrature per pair, for n up to
-    EXPECTED_NTK_MAX_N.
-    """
-    d = X.shape[1]
-    C = X @ X.T / d
-    if act.kind == "erf":
-        c, P = _erf_covariances(C)
-        return KernelMatrix(values=(2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P)))
-    return KernelMatrix(values=_pair_expectations(C, phi_part(act)))
+    data-induced covariance with variances ||x_i||^2/d, in closed form for erf,
+    relu, leaky-relu and identity; ValueError for other kinds."""
+    return KernelMatrix(values=_expected_pairs(X, act, "phi")[1])
 
 
 def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> KernelMatrix:
@@ -203,7 +160,9 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     P(rho) = E[phi(z1)phi(z2)] and Q(rho) = E[phi'(z1)phi'(z2)] at unit
     marginals. Hypercube patches make rho take only q+1 values, so the summand
     P(rho) + Q(rho) rho is tabulated once and looked up per patch offset, at
-    the Hamming distance (q - q rho)/2 of the two patches.
+    the Hamming distance (q - q rho)/2 of the two patches. `order` is the
+    quadrature order of the tables of tanh, sigmoid and softplus; the other
+    kinds have closed forms.
     """
     n, d = X.shape
     if not np.all(np.abs(X) == 1.0):
@@ -211,13 +170,8 @@ def cnn_infinite_ntk(X: np.ndarray, q_filter: int, act: Activation,
     if q_filter > d:
         raise ValueError(f"filter size q={q_filter} exceeds input dimension d={d}")
     rho_values = (q_filter - 2.0 * np.arange(q_filter + 1)) / q_filter  # 1, 1-2/q, ..., -1
-    f, fp = phi_part(act), phi_prime_part(act)
-    P_tab = np.array([
-        bivariate_expectation(f, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
-    ])
-    Q_tab = np.array([
-        bivariate_expectation(fp, [[1.0, r], [r, 1.0]], order=order) for r in rho_values
-    ])
+    P_tab = bivariate_expectation(act, "phi", 1.0, 1.0, rho_values, order)
+    Q_tab = bivariate_expectation(act, "phi_prime", 1.0, 1.0, rho_values, order)
     summand = P_tab + Q_tab * rho_values
 
     # H holds the patch Hamming distances at offset k and moves to offset k+1

@@ -34,8 +34,6 @@ from earlylin.activations import (
     nu,
     phi,
     phi_prime,
-    phi_part,
-    phi_prime_part,
 )
 from earlylin.datagen import CovarianceSpec, identity_covariance
 
@@ -442,49 +440,58 @@ def erf_pair_expectation(c, s1=1.0, s2=1.0):
 
 @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.25, 0.7, 1.0])
 def test_erf_product_matches_arcsin_formula(rho):
-    f = phi_part(ERF)
-    got = bivariate_expectation(f, [[1.0, rho], [rho, 1.0]])
+    got = bivariate_expectation(ERF, "phi", 1.0, 1.0, rho)
     np.testing.assert_allclose(got, erf_pair_expectation(rho), atol=1e-10)
 
 
 def test_erf_product_nonunit_variances():
-    f = phi_part(ERF)
-    lam = [[2.25, -0.6], [-0.6, 0.49]]
-    got = bivariate_expectation(f, lam)
+    got = bivariate_expectation(ERF, "phi", 2.25, 0.49, -0.6)
     np.testing.assert_allclose(got, erf_pair_expectation(-0.6, 1.5, 0.7), atol=1e-10)
 
 
 def test_independent_factorizes_to_product_of_means():
-    fp = phi_prime_part(ERF)
     m = moments(ERF)
-    got = bivariate_expectation(fp, [[1.0, 0.0], [0.0, 1.0]])
+    got = bivariate_expectation(ERF, "phi_prime", 1.0, 1.0, 0.0)
     np.testing.assert_allclose(got, m.zeta**2, rtol=1e-10)
 
 
 def test_full_correlation_gives_second_moment():
-    fp = phi_prime_part(ERF)
     m = moments(ERF)
-    got = bivariate_expectation(fp, [[1.0, 1.0], [1.0, 1.0]])
+    got = bivariate_expectation(ERF, "phi_prime", 1.0, 1.0, 1.0)
     np.testing.assert_allclose(got, m.gamma, rtol=1e-9)
+
+
+def test_bivariate_expectation_broadcasts_over_arrays():
+    a = np.array([[0.5], [2.0]])
+    b = np.array([1.0, 1.5, 3.0])
+    c = 0.3 * np.sqrt(a * b)
+    for act in (ERF, RELU, leaky_relu(-0.5), TANH):
+        for part in ("phi", "phi_prime"):
+            got = bivariate_expectation(act, part, a, b, c)
+            assert got.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    one = bivariate_expectation(act, part, a[i, 0], b[j], c[i, j])
+                    assert got[i, j] == pytest.approx(float(one), rel=1e-14, abs=1e-300)
+    with pytest.raises(ValueError, match="part"):
+        bivariate_expectation(ERF, "phi_second", 1.0, 1.0, 0.0)
 
 
 # ------------------------------------------------- bivariate: piecewise-linear
 
 def test_relu_product_special_points():
-    f = phi_part(RELU)
     # independent: E[relu]^2; identical: E[relu^2] = 1/2; opposite: 0
     np.testing.assert_allclose(
-        bivariate_expectation(f, [[1, 0], [0, 1]]), KAPPA**2, rtol=1e-12)
+        bivariate_expectation(RELU, "phi", 1, 1, 0), KAPPA**2, rtol=1e-12)
     np.testing.assert_allclose(
-        bivariate_expectation(f, [[1, 1], [1, 1]]), 0.5, rtol=1e-12)
-    assert bivariate_expectation(f, [[1, -1], [-1, 1]]) == pytest.approx(0.0, abs=1e-12)
+        bivariate_expectation(RELU, "phi", 1, 1, 1), 0.5, rtol=1e-12)
+    assert bivariate_expectation(RELU, "phi", 1, 1, -1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_relu_prime_product_is_orthant_probability():
-    fp = phi_prime_part(RELU)
     for rho in (-0.5, 0.0, 0.3, 0.8):
         want = (math.pi - math.acos(rho)) / (2.0 * math.pi)
-        got = bivariate_expectation(fp, [[1.0, rho], [rho, 1.0]])
+        got = bivariate_expectation(RELU, "phi_prime", 1.0, 1.0, rho)
         np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"rho={rho}")
 
 
@@ -502,55 +509,46 @@ def mc_pair(f, lam, n=4_000_000, seed=2024):
     [[1.44, -0.3], [-0.3, 0.81]],
 ])
 def test_relu_pair_against_monte_carlo(lam):
-    f = phi_part(RELU)
-    got = bivariate_expectation(f, lam)
-    est, se = mc_pair(f, lam)
+    got = bivariate_expectation(RELU, "phi", lam[0][0], lam[1][1], lam[0][1])
+    est, se = mc_pair(lambda z: phi(RELU, z), lam)
     assert abs(got - est) < 4 * se
 
 
 def test_degenerate_rank_one_covariance():
     # c = s1 s2 means g2 = (s2/s1) g1 almost surely
-    f = phi_part(RELU)
-    got = bivariate_expectation(f, [[4.0, 2.0], [2.0, 1.0]])
+    got = bivariate_expectation(RELU, "phi", 4.0, 1.0, 2.0)
     # E[relu(2g) relu(g)] = 2 E[relu(g)^2] = 1
     np.testing.assert_allclose(got, 1.0, rtol=1e-10)
 
 
 def test_zero_variance_factor_pins_value_at_zero():
-    f = phi_part(RELU)
-    got = bivariate_expectation(f, [[0.0, 0.0], [0.0, 1.0]])
-    assert got == pytest.approx(0.0, abs=1e-14)  # relu(0) * E[relu] = 0
-
-
-def test_bivariate_rejects_non_psd():
-    f = phi_part(ERF)
-    with pytest.raises(ValueError):
-        bivariate_expectation(f, [[1.0, 2.0], [2.0, 1.0]])
+    # z1 = 0: E[erf'(0) erf'(z2)] = (2/sqrt(pi)) E[erf'(g)] = 4/(pi sqrt(3))
+    got = bivariate_expectation(ERF, "phi_prime", 0.0, 1.0, 0.0)
+    assert got == pytest.approx(4.0 / (math.pi * math.sqrt(3.0)), rel=1e-15)
+    assert bivariate_expectation(ERF, "phi", 0.0, 1.0, 0.0) == 0.0  # erf(0) E[erf] = 0
 
 
 def test_bivariate_smooth_convergence_in_order():
-    f = phi_part(TANH)
-    lam = [[1.0, 0.6], [0.6, 1.0]]
-    lo = bivariate_expectation(f, lam, order=48)
-    hi = bivariate_expectation(f, lam, order=128)
+    lo = bivariate_expectation(TANH, "phi", 1.0, 1.0, 0.6, order=48)
+    hi = bivariate_expectation(TANH, "phi", 1.0, 1.0, 0.6, order=128)
     np.testing.assert_allclose(lo, hi, atol=1e-8)
 
 
-SWAP_PARTS = [part(act) for act in ALL_ACTS + [leaky_relu(-0.5)]
-              for part in (phi_part, phi_prime_part)]
+SWAP_PARTS = [(act, part) for act in ALL_ACTS + [leaky_relu(-0.5)]
+              for part in ("phi", "phi_prime")]
 
 
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from(SWAP_PARTS),
-       a=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-       b=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       a=st.floats(1e-3, 1.0), b=st.floats(1e-3, 1.0),
        rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
 def test_bivariate_expectation_is_symmetric_under_a_swap(f, a, b, rho):
+    act, part = f
     c = rho * math.sqrt(a * b)
-    got = bivariate_expectation(f, [[a, c], [c, b]])
-    swapped = bivariate_expectation(f, [[b, c], [c, a]])
-    # A smooth factor is integrated along the other Cholesky factor once
-    # swapped, so the two differ by the quadrature error (below 1e-8 at
-    # variances up to 1); a piecewise-linear one has an exact closed form.
-    tol = 1e-7 if f.act.smoothness == "smooth" else 4e-16
+    got = bivariate_expectation(act, part, a, b, c)
+    swapped = bivariate_expectation(act, part, b, a, c)
+    # A smooth non-erf factor is integrated along the other Cholesky factor
+    # once swapped, so the two differ by the quadrature error (below 1e-8 at
+    # variances up to 1); the closed forms are symmetric in a and b.
+    tol = 1e-7 if act.kind in ("tanh", "sigmoid", "softplus") else 0.0
     assert abs(got - swapped) <= tol * max(1.0, abs(got))

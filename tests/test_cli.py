@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earlylin.cli import ConfigError, DEFAULTS, run, validate_config
+from earlylin.cli import _FLOAT_KEYS, ConfigError, DEFAULTS, run, validate_config
 
 
 def read_tree(root):
@@ -417,15 +417,15 @@ def test_cnn_ntk_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
 
 
 def test_cnn_ntk_tabulates_at_the_given_order(tmp_path):
-    from earlylin.activations import ERF
+    from earlylin.activations import TANH
     from earlylin.harness import cnn_deviation_experiment
 
-    assert run(["cnn-ntk", "--act", "erf", "--order", "32", "--d", "8", "--q", "2",
+    assert run(["cnn-ntk", "--act", "tanh", "--order", "32", "--d", "8", "--q", "2",
                 "--n", "16", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "deviation.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    want = cnn_deviation_experiment(8, 2, 16, ERF, 0, order=32).points
-    default = cnn_deviation_experiment(8, 2, 16, ERF, 0).points
+    want = cnn_deviation_experiment(8, 2, 16, TANH, 0, order=32).points
+    default = cnn_deviation_experiment(8, 2, 16, TANH, 0).points
     assert want[0].deviation != default[0].deviation  # the order shows in the output
     assert [{k: float(v) for k, v in row.items()} for row in rows] == [
         {"d": p.d, "n": p.n, "q": p.q, "deviation": p.deviation,
@@ -448,7 +448,34 @@ def test_non_finite_leaky_relu_slope_is_a_config_error(tmp_path, capsys):
     assert run(["moments", "--act", "leaky-relu", "--slope", "inf",
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "config error: /slope: must be finite, got inf\n"
-    validate_config("moments", {"act": "erf", "slope": "nan"})  # unused: no error
+    with pytest.raises(ConfigError) as err:  # finite whether or not the kind uses it
+        validate_config("moments", {"act": "erf", "slope": "nan"})
+    assert err.value.errors == ["/slope: must be finite, got nan"]
+
+
+FLOAT_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
+              for key in defaults if key in _FLOAT_KEYS]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sub, key", FLOAT_KEYS, ids=[f"{s}-{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_float_keys_are_config_errors(tmp_path, capsys, sub, key, value):
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    assert run([sub, f"{flag}={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: /{key}: must be finite, got {float(value)}\n")
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    for out, reason in ((existing, "File exists"), (existing / "sub", "Not a directory")):
+        assert run(["moments", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --out {out}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "kept\n"
 
 
 def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
@@ -456,6 +483,6 @@ def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: the moments move by ")
     assert "from quadrature order 2 to 4" in err[0]
-    for act in ("erf", "relu", "sigmoid"):  # converged at the default order
+    for act in ("erf", "tanh", "relu", "sigmoid"):  # converged at the default order
         assert run(["moments", "--act", act, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""

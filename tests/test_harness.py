@@ -27,7 +27,7 @@ from earlylin.harness import (
     residual_subspace_decomposition,
     spectral_decay_experiment,
 )
-from earlylin.kernels import linear_kernel, ntk_full, spectral_norm
+from earlylin.kernels import linear_kernel, ntk_first_layer, ntk_second_layer, spectral_norm
 from earlylin.linmodel import features
 from earlylin.network import (
     DivergenceError,
@@ -250,7 +250,8 @@ def test_probe_at_the_reference_point_reduces_to_the_kernel_distance():
     mom = moments(ERF)
     K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin-full")
     probes = jacobian_deviation_probe([net], X, K_lin, mode="both")
-    want = spectral_norm(ntk_full(net, X).values - K_lin.values)
+    K = ntk_first_layer(net, X).values + ntk_second_layer(net, X).values
+    want = spectral_norm(K - K_lin.values)
     assert probes[0].eps == pytest.approx(want, rel=1e-9)
     assert probes[0].eps_over_n_d == pytest.approx(want / (n / d), rel=1e-9)
 
@@ -259,7 +260,8 @@ def test_probe_against_the_initial_empirical_kernel_is_exact_zero():
     d = 6
     X = generate_inputs(DataSpec(identity_covariance(d), "gaussian", 20, 3))
     net = symmetric_init(16, d, SIGMOID, seed=4)
-    probes = jacobian_deviation_probe([net], X, ntk_full(net, X), mode="both")
+    K = ntk_first_layer(net, X).values + ntk_second_layer(net, X).values
+    probes = jacobian_deviation_probe([net], X, K, mode="both")
     assert probes[0].eps <= 1e-12
 
 

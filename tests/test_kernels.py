@@ -9,20 +9,20 @@ from earlylin.activations import (
     IDENTITY,
     RELU,
     SIGMOID,
+    SOFTPLUS,
     TANH,
     bivariate_expectation,
+    leaky_relu,
     moments,
     nu,
     phi,
-    phi_part,
     phi_prime,
-    phi_prime_part,
 )
 from earlylin import activations, network
 from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import (
-    EXPECTED_NTK_MAX_N,
     DecayFit,
+    KernelMatrix,
     cnn_infinite_ntk,
     decay_fit,
     expected_ntk_first,
@@ -30,7 +30,6 @@ from earlylin.kernels import (
     frobenius_norm,
     linear_kernel,
     ntk_first_layer,
-    ntk_full,
     ntk_second_layer,
     spectral_norm,
 )
@@ -109,14 +108,10 @@ def test_second_layer_kernel_entry_noise_scales_as_inverse_sqrt_width():
     assert 1.7 <= ratio <= 2.3  # quadrupling m should halve the std
 
 
-def test_full_kernel_is_the_sum_of_the_layer_kernels():
-    net = symmetric_init(20, 5, ERF, seed=9)
-    X = gaussian(12, 5, seed=10)
-    K = ntk_full(net, X)
-    K1, K2 = ntk_first_layer(net, X), ntk_second_layer(net, X)
-    np.testing.assert_allclose(K.values, K1.values + K2.values, atol=1e-14)
-    assert math.isclose(np.trace(K.values),
-                        np.trace(K1.values) + np.trace(K2.values), rel_tol=1e-12)
+def ntk_full(net, X):
+    """First- plus second-layer tangent kernel."""
+    return KernelMatrix(values=ntk_first_layer(net, X).values
+                        + ntk_second_layer(net, X).values)
 
 
 @pytest.mark.parametrize("builder", [ntk_first_layer, ntk_second_layer, ntk_full])
@@ -155,7 +150,7 @@ def test_expected_second_layer_kernel_erf_diagonal_at_unit_marginals():
     np.testing.assert_allclose(np.diag(K), np.full(3, ERF_PAIR_UNIT), rtol=1e-9)
 
 
-@pytest.mark.parametrize("act", [TANH, SIGMOID], ids=lambda a: a.kind)
+@pytest.mark.parametrize("act", [RELU, leaky_relu(-0.5)], ids=lambda a: a.kind)
 def test_expected_kernels_agree_with_weight_space_monte_carlo(act):
     X = gaussian(3, 10, seed=4)
     K1 = expected_ntk_first(X, act).values
@@ -199,8 +194,7 @@ def test_expected_erf_kernels_match_williams_closed_forms():
 
 
 def test_expected_erf_kernels_have_no_size_cap():
-    X = gaussian(2000, 4, seed=31)  # above EXPECTED_NTK_MAX_N: only quadrature is capped
-    assert X.shape[0] > EXPECTED_NTK_MAX_N
+    X = gaussian(2000, 4, seed=31)
     first, second = williams_erf_kernels(X)
     K = expected_ntk_first(X, ERF).values
     np.testing.assert_allclose(K, first, rtol=1e-14, atol=0)
@@ -212,36 +206,79 @@ def test_expected_erf_kernels_have_no_size_cap():
 
 
 def test_expected_kernel_guards():
-    big = np.ones((EXPECTED_NTK_MAX_N + 1, 2))
-    with pytest.raises(ValueError, match="exceeds the"):
-        expected_ntk_first(big, TANH)
-    with pytest.raises(ValueError, match="exceeds the"):
-        expected_ntk_second(big, TANH)
+    X = gaussian(4, 3, seed=34)
+    for act in (TANH, SIGMOID, SOFTPLUS):  # no closed form
+        for build in (expected_ntk_first, expected_ntk_second):
+            with pytest.raises(ValueError, match="no closed form"):
+                build(X, act)
+    X[2] = 0.0  # phi'(0) = 1 is a convention, not a Gaussian expectation
+    for act in (RELU, leaky_relu(-0.5), IDENTITY):
+        for build in (expected_ntk_first, expected_ntk_second):
+            with pytest.raises(ValueError, match="zero row"):
+                build(X, act)
+    assert np.all(np.isfinite(expected_ntk_first(X, ERF).values))  # erf'(0) is no convention
 
 
-@pytest.mark.parametrize("act", [TANH, RELU], ids=lambda a: a.kind)
+@pytest.mark.parametrize("act", [RELU, leaky_relu(-0.5), IDENTITY], ids=lambda a: a.kind)
+def test_expected_first_layer_diagonal_is_exact(act):
+    # rho = C_ii / sqrt(C_ii C_ii) is exactly 1, so the diagonal is gamma C_ii,
+    # gamma = E[phi'(g)^2] = (1 + alpha^2)/2, with no arccos(1 - ulp) error.
+    X = gaussian(200, 32, seed=35)
+    X *= np.sqrt(np.linspace(0.3, 3.3, 200))[:, None]
+    C_ii = np.diag(X @ X.T / 32)
+    alpha = act.negative_slope
+    want = (1.0 + alpha * alpha) / 2.0 * C_ii
+    got = np.diag(expected_ntk_first(X, act).values)
+    assert np.all(np.abs(got - want) <= np.spacing(want)), act.kind
+
+
+def relu_pair_expectations(a, b, c, alpha):
+    """E[phi'(z1) phi'(z2)] and E[phi(z1) phi(z2)] for (z1, z2) ~ N(0, [[a, c], [c, b]])
+    and phi = alpha z + (1-alpha) relu(z): each product expanded over the basis
+    (1, u, relu(u), step(u)) of the standardized pair, whose cross moments are
+    the half-Gaussian and arc-cosine integrals at the correlation. rho is
+    rounded as c / sqrt(ab), as the kernels round it: near +-1, arccos turns
+    one ulp of rho into about 1e-8."""
+    k = 1.0 / math.sqrt(2.0 * math.pi)
+    s1, s2 = math.sqrt(a), math.sqrt(b)
+    rho = min(max(c / math.sqrt(a * b), -1.0), 1.0)
+    step_step = (math.pi - math.acos(rho)) / (2.0 * math.pi)
+    relu_relu = (math.sqrt(1.0 - rho * rho) + rho * (math.pi - math.acos(rho))) / (2.0 * math.pi)
+    relu_step = k * (1.0 + rho) / 2.0
+    table = np.array([[1.0, 0.0, k, 0.5],
+                      [0.0, rho, rho / 2.0, rho * k],
+                      [k, rho / 2.0, relu_relu, relu_step],
+                      [0.5, rho * k, relu_step, step_step]])
+    prime = np.array([alpha, 0.0, 0.0, 1.0 - alpha])
+    u = np.array([0.0, alpha * s1, (1.0 - alpha) * s1, 0.0])
+    v = np.array([0.0, alpha * s2, (1.0 - alpha) * s2, 0.0])
+    return prime @ table @ prime, u @ table @ v
+
+
+@pytest.mark.parametrize("act", [RELU, leaky_relu(-0.5)], ids=lambda a: a.kind)
 def test_expected_kernels_equal_their_per_pair_expectations(act):
-    # A zero row (zero variance) and an antipodal pair (rho = -1) beside
-    # generic rows; each entry is one order-64 expectation under
-    # [[C_ii, C_ij], [C_ij, C_jj]], taken over the lower triangle and mirrored.
-    X = gaussian(6, 5, seed=33)
-    X = np.vstack([X, np.zeros((1, 5)), -X[:1]])
-    n, C = X.shape[0], X @ X.T / 5
-    a = np.diag(C)
-    for build, part, scale in ((expected_ntk_first, phi_prime_part, C),
-                               (expected_ntk_second, phi_part, 1.0)):
-        want = np.empty((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                bound = math.sqrt(a[i] * a[j])
-                c = min(max(C[i, j], -bound), bound)
-                want[i, j] = want[j, i] = bivariate_expectation(
-                    part(act), [[a[i], c], [c, a[j]]], order=64)
-        want *= scale
-        got = build(X, act).values
-        assert np.array_equal(got, got.T), build.__name__
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max(),
-                                   err_msg=build.__name__)
+    # n = 2000 with an antipodal pair (rho = -1) and a near-duplicate pair
+    # (rho within 1e-13 of 1) among generic rows of spread norms; every pair of
+    # the special rows and 3000 random pairs are checked one at a time.
+    n = 2000
+    X = gaussian(n - 2, 5, seed=33)
+    X *= np.sqrt(np.linspace(0.3, 3.3, n - 2))[:, None]
+    X = np.vstack([X, -X[:1], X[1] + 1e-7 * X[2]])
+    C = X @ X.T / 5
+    special = [0, 1, n - 2, n - 1]
+    rng = np.random.default_rng(36)
+    pairs = [(i, j) for i in special for j in range(n)]
+    pairs += list(zip(rng.integers(0, n, 3000), rng.integers(0, n, 3000)))
+    rows, cols = np.array(pairs).T
+    first, second = np.array([
+        relu_pair_expectations(C[i, i], C[j, j], C[i, j], act.negative_slope)
+        for i, j in pairs]).T
+    for build, want in ((expected_ntk_first, C[rows, cols] * first),
+                        (expected_ntk_second, second)):
+        K = build(X, act).values
+        assert np.array_equal(K, K.T), build.__name__
+        np.testing.assert_allclose(K[rows, cols], want, rtol=0,
+                                   atol=1e-15 * np.abs(want).max(), err_msg=build.__name__)
 
 
 def test_first_layer_empirical_kernel_concentrates_to_the_expected_one():
@@ -591,9 +628,8 @@ def test_linear_kernels_equal_their_plain_expressions_exactly():
 def test_cnn_kernel_equals_its_plain_expression_exactly(act):
     n, d, q = 20, 12, 4
     rho_values = (q - 2.0 * np.arange(q + 1)) / q
-    f, fp = phi_part(act), phi_prime_part(act)
-    P = np.array([bivariate_expectation(f, [[1.0, r], [r, 1.0]]) for r in rho_values])
-    Q = np.array([bivariate_expectation(fp, [[1.0, r], [r, 1.0]]) for r in rho_values])
+    P = bivariate_expectation(act, "phi", 1.0, 1.0, rho_values)
+    Q = bivariate_expectation(act, "phi_prime", 1.0, 1.0, rho_values)
     for layout, X in layouts(hypercube(n, d, seed=24)):
         Xc = np.concatenate([X, X[:, : q - 1]], axis=1)
         acc = np.zeros((n, n))
@@ -628,9 +664,8 @@ def gemm_cnn_kernel(X, q, summand):
 
 def cnn_summand(q, act):
     rho = (q - 2.0 * np.arange(q + 1)) / q
-    f, fp = phi_part(act), phi_prime_part(act)
-    P = np.array([bivariate_expectation(f, [[1.0, r], [r, 1.0]]) for r in rho])
-    Q = np.array([bivariate_expectation(fp, [[1.0, r], [r, 1.0]]) for r in rho])
+    P = bivariate_expectation(act, "phi", 1.0, 1.0, rho)
+    Q = bivariate_expectation(act, "phi_prime", 1.0, 1.0, rho)
     return P + Q * rho
 
 
