@@ -33,8 +33,6 @@ _SMOOTH_KINDS = ("erf", "tanh", "sigmoid", "softplus")
 _PL_KINDS = ("relu", "leaky-relu", "identity")
 
 MAX_ORDER = 256
-# The kink halves the effective quadrature order of a piecewise-linear kind.
-PIECEWISE_MIN_ORDER = 64
 
 # E[g * 1{g>0}] for g ~ N(0,1); the basic half-Gaussian moment.
 _HALF_MOMENT = 1.0 / math.sqrt(2.0 * math.pi)
@@ -302,7 +300,7 @@ def moments(act: Activation, order: int | None = None) -> Moments:
 
     Smooth kinds use Gauss-Hermite quadrature at the given order.
     Piecewise-linear kinds are evaluated with the exact half-Gaussian
-    closed forms (with negative-branch slope a):
+    closed forms, whatever the order (with negative-branch slope a):
 
         zeta = (1+a)/2,  theta0 = theta1 = (1-a)/sqrt(2 pi),
         theta2 = 0,      gamma = (1+a^2)/2.
@@ -312,11 +310,6 @@ def moments(act: Activation, order: int | None = None) -> Moments:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
     if act.smoothness == PIECEWISE_LINEAR:
-        if order < PIECEWISE_MIN_ORDER:
-            raise ValueError(
-                f"piecewise-linear activations require order >= {PIECEWISE_MIN_ORDER} "
-                f"(got {order}); the kink halves the quadrature order"
-            )
         a = act.negative_slope
         return Moments(
             zeta=(1.0 + a) / 2.0,
@@ -349,8 +342,9 @@ def bivariate_expectation(act: Activation, part: str, a, b, c,
                           order: int | None = None) -> np.ndarray:
     """E[f(z1) f(z2)] for (z1, z2) ~ N(0, [[a, c], [c, b]]), with f = phi or phi'
     of `act` (`part` "phi" or "phi_prime"), over broadcastable arrays of the
-    variances a, b > 0 and the covariance c; c past sqrt(ab) by rounding is
-    clipped.
+    variances a, b > 0 (>= 0 for erf) and the covariance c. A ValueError
+    rejects any other variance and a |c| past sqrt(ab) by more than 1e-12
+    relative; a |c| past it by rounding counts as |rho| = 1.
 
     erf: Williams' closed forms ("Computing with Infinite Networks", NIPS 1997),
         (2/pi) arcsin(2c / sqrt(P)) and (4/pi) / sqrt(P - 4c^2), P = (1+2a)(1+2b).
@@ -368,21 +362,26 @@ def bivariate_expectation(act: Activation, part: str, a, b, c,
         raise ValueError(f"part must be 'phi' or 'phi_prime', got {part!r}")
     prime = part == "phi_prime"
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    if act.kind == "erf":
-        bound = np.sqrt(a * b)
+    low, erf = min(a.min(), b.min()), act.kind == "erf"
+    if low < 0.0 or (low == 0.0 and not erf):  # the others divide by sqrt(ab) or sqrt(a)
+        raise ValueError(f"{act.kind} needs variances {'>= 0' if erf else '> 0'}, got {low}")
+    bound = np.sqrt(a * b)
+    if np.any(np.abs(c) > bound * (1.0 + 1e-12)):  # more than rounding
+        raise ValueError("|c| exceeds sqrt(ab): not a covariance (Cauchy-Schwarz)")
+    if erf:
         c = np.clip(c, -bound, bound)
         P = (1.0 + 2.0 * a) * (1.0 + 2.0 * b)
         if prime:
             return (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2)
         return (2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P))
     if act.smoothness == PIECEWISE_LINEAR:
-        alpha, scale = act.negative_slope, np.sqrt(a * b)
-        rho = np.clip(c / scale, -1.0, 1.0)
+        alpha = act.negative_slope
+        rho = np.clip(c / bound, -1.0, 1.0)
         angle = np.pi - np.arccos(rho)
         if prime:
             return alpha + (1.0 - alpha) ** 2 * angle / (2.0 * math.pi)
         J1 = (np.sqrt(1.0 - rho * rho) + rho * angle) / (2.0 * math.pi)
-        return alpha * c + (1.0 - alpha) ** 2 * scale * J1
+        return alpha * c + (1.0 - alpha) ** 2 * bound * J1
     f = phi_prime if prime else phi
     q = gauss_hermite(default_order(act) if order is None else order)
     g, w = q.nodes, q.weights

@@ -32,8 +32,6 @@ from .activations import (
     ERF,
     IDENTITY,
     MAX_ORDER,
-    PIECEWISE_LINEAR,
-    PIECEWISE_MIN_ORDER,
     RELU,
     SIGMOID,
     SOFTPLUS,
@@ -56,6 +54,7 @@ from .harness import (
     CoupledRunConfig,
     LabelSpec,
     cnn_deviation_experiment,
+    cnn_second_point_rows,
     coupled_run,
     default_learning_rate,
     discrepancy_vs_dimension,
@@ -140,6 +139,8 @@ _FLOAT_KEYS = {"eta", "horizon_c", "a_norm", "slope", "growth",
                "max_spectral_slope", "min_frobenius_slope", "min_r2",
                "max_train_gap", "max_test_gap", "max_ratio", "min_fraction",
                "bound_factor", "gram_lo", "gram_hi"}
+_INT_MINIMUM = {"n": 1, "d": 1, "m": 1, "q": 1, "seeds": 1, "record_stride": 1,
+                "teacher_width": 1, "T": 0, "seed": 0, "a_seed": 0, "n_test": 0}
 _BOOL_KEYS = {"require_decreasing", "radius_check"}
 _LIST_KEYS = {"d_list"}
 _CHOICE_KEYS = {
@@ -219,9 +220,9 @@ def validate_config(subcommand: str, raw: dict) -> tuple[dict, list[str]]:
 
 
 def _semantic_errors(subcommand: str, cfg: dict):
-    for key in ("n", "d", "m", "q", "seeds", "record_stride", "teacher_width"):
-        if key in cfg and cfg[key] is not None and cfg[key] < 1:
-            yield key, f"must be >= 1, got {cfg[key]}"
+    for key, low in _INT_MINIMUM.items():
+        if cfg.get(key) is not None and cfg[key] < low:
+            yield key, f"must be >= {low}, got {cfg[key]}"
     if cfg.get("m") is not None and cfg["m"] % 2 != 0:
         yield "m", "width must be even (symmetric initialization)"
     if "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
@@ -231,21 +232,22 @@ def _semantic_errors(subcommand: str, cfg: dict):
             default_learning_rate(cfg["mode"], 1, cfg["n"], mom)
         except ValueError as exc:
             yield "n", f"{exc}; pass --eta to set the rate"
-    if cfg.get("T") is not None and cfg["T"] < 0:
-        yield "T", f"must be >= 0, got {cfg['T']}"
     if cfg.get("eta") is not None and cfg["eta"] <= 0:
         yield "eta", f"must be > 0, got {cfg['eta']}"
     if "horizon_c" in cfg and cfg["horizon_c"] <= 0:
         yield "horizon_c", f"must be > 0, got {cfg['horizon_c']}"
     if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= MAX_ORDER:
         yield "order", f"must be in [1, {MAX_ORDER}], got {cfg['order']}"
-    elif (subcommand in ("moments", "cnn-ntk") and cfg["order"] is not None
-          and cfg["order"] < PIECEWISE_MIN_ORDER
-          and Activation(cfg["act"]).smoothness == PIECEWISE_LINEAR):
-        yield "order", (f"piecewise-linear activations need order >= "
-                        f"{PIECEWISE_MIN_ORDER}, got {cfg['order']}")
     if subcommand == "cnn-ntk" and cfg["q"] > cfg["d"]:
         yield "q", f"filter size q={cfg['q']} exceeds d={cfg['d']}"
+    if subcommand == "cnn-ntk" and cfg["n"] >= 1:
+        try:
+            rows = cnn_second_point_rows(cfg["n"], cfg["growth"])
+        except OverflowError:
+            rows = None
+        if rows is None or rows < 1:
+            yield "growth", ("the second point's rows, n * 2^growth, must round to "
+                             f"an integer >= 1; got {cfg['growth']} with n={cfg['n']}")
     if subcommand == "decompose":
         for key in ("residual_csv", "xtest_csv"):
             if cfg[key] is None:

@@ -1,4 +1,5 @@
-"""Input generation, label rules, concentration diagnostics, and CSV I/O.
+"""Input generation, label rules, concentration diagnostics, and the numeric
+CSV reader of `decompose`.
 
 Rows are generated from independent counter-based streams (numpy Philox,
 keyed by (seed, domain) with the row index placed in the high words of the
@@ -30,8 +31,7 @@ _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # Unif[-sqrt(3), sqrt(3)] has variance 1
 
 
 class LabelRangeWarning(UserWarning):
-    """Issued when generated or loaded labels fall outside [-1, 1]; they are
-    kept raw."""
+    """Issued when generated labels fall outside [-1, 1]; they are kept raw."""
 
 
 def _warn_label_range(y: np.ndarray, what: str) -> None:
@@ -95,22 +95,6 @@ class DataSpec:
     @property
     def d(self) -> int:
         return self.covariance.d
-
-
-@dataclass
-class Dataset:
-    """Inputs and their labels."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass(frozen=True)
@@ -197,16 +181,6 @@ def concentration_report(X: np.ndarray) -> ConcentrationReport:
     )
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write `x1,...,xd,y` rows with 17 significant digits (lossless for float64)."""
-    n, d = dataset.X.shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
-        for i in range(n):
-            writer.writerow([f"{v:.17g}" for v in dataset.X[i]] + [f"{dataset.y[i]:.17g}"])
-
-
 def _numeric_rows(path, rows, width: int, first_line: int) -> list[list[float]]:
     """Each row as `width` finite floats; a ValueError names the first bad
     line, counting the rows from line `first_line`."""
@@ -224,34 +198,13 @@ def _numeric_rows(path, rows, width: int, first_line: int) -> list[list[float]]:
     return values
 
 
-def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv.
-
-    Rejects malformed rows and non-finite fields with their line number;
-    labels outside [-1, 1] are kept, with a LabelRangeWarning.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        d = len(header) - 1
-        if d < 1 or header[-1] != "y":
-            raise ValueError(f"{path}: expected header x1,...,xd,y, got {header!r}")
-        values = _numeric_rows(path, reader, d + 1, first_line=2)
-    data = np.asarray(values, dtype=float).reshape(len(values), d + 1)
-    y = data[:, d].copy()
-    _warn_label_range(y, f"labels in {path}")
-    return Dataset(X=data[:, :d].copy(), y=y)
-
-
 def load_matrix(path) -> np.ndarray:
     """The numeric rows of a CSV file as an array (rows x fields).
 
     The first line is a header, and skipped, when one of its fields is not a
-    number. Every other line is checked as `load_csv` checks a row, with the
-    field count of the first data row; a file with no data row is rejected.
+    number. Every other line must hold finite numbers, as many as the first
+    data row; a ValueError names the first line that does not, and a file
+    with no data row is rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))

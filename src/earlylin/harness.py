@@ -5,9 +5,8 @@ lockstep with the *same* learning rate, starting from an exact tie (zero
 output on both sides), and records per-step agreement metrics on the
 training set and a held-out test set. The other entry points are the
 experiment recipes built on top: dimension sweeps of the discrepancy,
-tangent-kernel deviation probes along a trajectory, residual subspace
-decomposition, the norm-feature ablation, the spectral-decay fit, and the
-CNN kernel deviation.
+residual subspace decomposition, the norm-feature ablation, the
+spectral-decay fit, and the CNN kernel deviation.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activations import ERF, Activation, Moments, moments, nu, phi, phi_prime
+from .activations import ERF, Activation, Moments, moments, nu
 from .datagen import DataSpec, identity_covariance, generate_hypercube, generate_inputs
 from .kernels import (
     DecayFit,
@@ -32,7 +31,6 @@ from .linmodel import FeatureMap, LinearTrainable, features, naive_map
 from .network import (
     NetTrainable,
     TwoLayerNet,
-    preactivations,
     random_init,
     run_lockstep,
     symmetric_init,
@@ -252,49 +250,6 @@ def discrepancy_vs_dimension(d_list, base: CoupledRunConfig,
                             strictly_decreasing=decreasing)
 
 
-@dataclass(frozen=True)
-class DeviationProbe:
-    index: int
-    eps: float            # || J(theta_t) J(theta_0)^T - K_lin ||
-    eps_over_n_d: float   # eps / (n/d), the scale of ||K_lin||
-
-
-def _cross_tangent_gram(mode: str, net_t: TwoLayerNet, net_0: TwoLayerNet,
-                        X: np.ndarray) -> np.ndarray:
-    """J(theta_t) J(theta_0)^T for the Jacobian blocks active in the mode."""
-    n, d = X.shape
-    K = np.zeros((n, n))
-    if mode in ("first", "both"):
-        S_t = phi_prime(net_t.act, preactivations(net_t, X)) * net_t.v[None, :]
-        S_0 = phi_prime(net_0.act, preactivations(net_0, X)) * net_0.v[None, :]
-        K += ((S_t @ S_0.T) / net_t.m) * (X @ X.T / d)
-    if mode in ("second", "both"):
-        A_t = phi(net_t.act, preactivations(net_t, X))
-        A_0 = phi(net_0.act, preactivations(net_0, X))
-        K += (A_t @ A_0.T) / net_t.m
-    return K
-
-
-def jacobian_deviation_probe(snapshots, X: np.ndarray, K_lin,
-                             mode: str = "both") -> list[DeviationProbe]:
-    """Spectral deviation of the trajectory cross-Gram from the linear kernel.
-
-    snapshots[0] is the reference point theta(0); each probe reports
-    eps = ||J(theta_t) J(theta_0)^T - K_lin|| and eps normalized by n/d.
-    """
-    if len(snapshots) < 1:
-        raise ValueError("need at least one snapshot")
-    K_ref = K_lin.values if hasattr(K_lin, "values") else np.asarray(K_lin, dtype=float)
-    n, d = X.shape
-    net_0 = snapshots[0]
-    probes = []
-    for idx, net_t in enumerate(snapshots):
-        M = _cross_tangent_gram(mode, net_t, net_0, X)
-        eps = spectral_norm(M - K_ref)
-        probes.append(DeviationProbe(index=idx, eps=eps, eps_over_n_d=eps / (n / d)))
-    return probes
-
-
 def residual_subspace_decomposition(residual: np.ndarray, X_test: np.ndarray):
     """Split ||residual||^2 into the part inside span(columns reachable by
     X_test's input directions) and its orthogonal complement.
@@ -440,6 +395,12 @@ def cnn_kernel_deviation(d: int, q: int, n: int, act: Activation, seed: int,
                              ratio=dev / base_norm)
 
 
+def cnn_second_point_rows(n: int, growth: float) -> int:
+    """n * 2^growth rounded: the rows that hold n / d^growth fixed as d doubles.
+    OverflowError when the product has no integer value."""
+    return int(round(n * 2.0**growth))
+
+
 def cnn_deviation_experiment(d: int, q: int, n: int, act: Activation, seed: int,
                              growth: float = 1.1,
                              order: int | None = None) -> CnnDeviationResult:
@@ -447,6 +408,6 @@ def cnn_deviation_experiment(d: int, q: int, n: int, act: Activation, seed: int,
     n / d^growth fixed — and whether the ratio shrinks. `order` is the
     quadrature order of the kernel's tabulation (None: the activation's default)."""
     p1 = cnn_kernel_deviation(d, q, n, act, seed, order=order)
-    n2 = int(round(n * 2.0**growth))
-    p2 = cnn_kernel_deviation(2 * d, q, n2, act, seed + 1, order=order)
+    p2 = cnn_kernel_deviation(2 * d, q, cnn_second_point_rows(n, growth), act,
+                              seed + 1, order=order)
     return CnnDeviationResult(points=[p1, p2], decreasing=p2.ratio < p1.ratio)

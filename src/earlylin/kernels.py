@@ -105,9 +105,6 @@ def _expected_pairs(X: np.ndarray, act: Activation, part: str):
     d = X.shape[1]
     C = X @ X.T / d
     a = np.diag(C)
-    if act.kind != "erf" and not np.all(a > 0):
-        raise ValueError("a zero row has no Gaussian preactivation: its "
-                         f"{act.kind} kernel entries depend on the convention at 0")
     return C, bivariate_expectation(act, part, a[:, None], a[None, :], C)
 
 

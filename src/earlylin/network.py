@@ -4,8 +4,9 @@ The fully-connected model is f(x; W, v) = (1/sqrt(m)) v . phi(W x / sqrt(d))
 with W of shape (m, d) and v of +-1 entries at init. Symmetric initialization
 mirrors the first half of the neurons with negated output signs so the
 initial function is identically zero without changing the tangent kernel.
-The first-layer Jacobian is only ever applied matrix-free (it has n x m*d
-entries); the second-layer Jacobian is small enough to materialize.
+The first-layer Jacobian (n x m*d entries) is never formed: it enters only
+through the gradient contractions and the tangent kernels; the second-layer
+Jacobian is small enough to materialize.
 """
 
 from __future__ import annotations
@@ -99,9 +100,6 @@ class Cnn1D:
         if self.q > self.d:
             raise ValueError(f"filter size q={self.q} exceeds input dimension d={self.d}")
 
-    def copy(self) -> "Cnn1D":
-        return Cnn1D(W=self.W.copy(), V=self.V.copy(), act=self.act)
-
 
 # Distinct seed domains so nets constructed from the same integer seed by
 # different initializers never share weight draws.
@@ -149,26 +147,6 @@ def forward(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     return phi(net.act, preactivations(net, X)) @ net.v / math.sqrt(net.m)
 
 
-def jacobian_first_layer_apply(net: TwoLayerNet, X: np.ndarray,
-                               delta_W: np.ndarray) -> np.ndarray:
-    """Directional derivative of the outputs along delta_W (matrix-free J1)."""
-    if delta_W.shape != net.W.shape:
-        raise ValueError(f"delta_W has shape {delta_W.shape}, expected {net.W.shape}")
-    G = phi_prime(net.act, preactivations(net, X))
-    P = X @ delta_W.T
-    return (G * P) @ net.v / math.sqrt(net.m * net.d)
-
-
-def jacobian_first_layer_transpose_apply(net: TwoLayerNet, X: np.ndarray,
-                                         r: np.ndarray) -> np.ndarray:
-    """J1^T r as an (m, d) matrix."""
-    n = X.shape[0]
-    if r.shape != (n,):
-        raise ValueError(f"r has shape {r.shape}, expected ({n},)")
-    G = phi_prime(net.act, preactivations(net, X))
-    return net.v[:, None] * ((G * r[:, None]).T @ X) / math.sqrt(net.m * net.d)
-
-
 def jacobian_second_layer(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     """J2 = (1/sqrt(m)) phi(X W^T / sqrt(d)), shape (n, m)."""
     return phi(net.act, preactivations(net, X)) / math.sqrt(net.m)
@@ -194,7 +172,8 @@ class NetTrainable:
     Z = X W^T / sqrt(d) and A = phi(Z) depend on W only, so they are
     recomputed only right after W moves. The test-set features are computed
     on first use and dropped when W moves, before phi' is computed, so stale
-    ones never take memory during a step. v moves before W, and the W
+    ones never take memory during a step; the new Z and A reuse the memory of
+    phi' and the stale ones, not fresh pages. v moves before W, and the W
     gradient uses the pre-step v.
     """
 
@@ -231,6 +210,7 @@ class NetTrainable:
             # (X^T G)^T: G^T X in the operand order BLAS runs faster; at some
             # shapes it differs from G.T @ X in the last bit
             net.W = net.W - (self.eta1 / (n * self._sqrt_md)) * (v[:, None] * (X.T @ G).T)
+            G = self._Z = self._A = None  # free their memory for the new Z and A
             self._Z = preactivations(net, X)
             self._A = phi(net.act, self._Z)
 
@@ -272,17 +252,6 @@ def cnn_init(m: int, q: int, d: int, act: Activation, seed: int) -> Cnn1D:
     """Filters and second layer iid N(0, 1)."""
     rng = np.random.default_rng((seed, _CNN_DOMAIN))
     return Cnn1D(W=rng.standard_normal((m, q)), V=rng.standard_normal((m, d)), act=act)
-
-
-def circular_conv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(w * x)[i] = sum_j w[j] x[i+j-1] with wraparound indexing."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    q, d = w.size, x.size
-    if q > d:
-        raise ValueError(f"filter size q={q} exceeds input dimension d={d}")
-    xc = np.concatenate([x, x[: q - 1]]) if q > 1 else x
-    return np.correlate(xc, w, mode="valid")
 
 
 def _cnn_patches(X: np.ndarray, q: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import multiprocessing
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -408,9 +409,12 @@ def test_moments_quadrature_order_is_recorded_and_stable():
     np.testing.assert_allclose(m128.zeta, m192.zeta, rtol=1e-12)
 
 
-def test_piecewise_linear_rejects_low_order():
-    with pytest.raises(ValueError):
-        moments(RELU, 16)
+@pytest.mark.parametrize("act", [RELU, leaky_relu(-0.5), IDENTITY], ids=lambda a: a.kind)
+def test_piecewise_linear_moments_do_not_depend_on_the_order(act):
+    # closed forms: the order is recorded, never used
+    default = moments(act)
+    for order in (1, 2, 16, 63, 64, 256):
+        assert moments(act, order) == replace(default, quad_order=order)
 
 
 # ------------------------------------------------------------------------ nu
@@ -526,6 +530,28 @@ def test_zero_variance_factor_pins_value_at_zero():
     got = bivariate_expectation(ERF, "phi_prime", 0.0, 1.0, 0.0)
     assert got == pytest.approx(4.0 / (math.pi * math.sqrt(3.0)), rel=1e-15)
     assert bivariate_expectation(ERF, "phi", 0.0, 1.0, 0.0) == 0.0  # erf(0) E[erf] = 0
+
+
+@pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.kind)
+def test_bivariate_expectation_rejects_what_is_not_a_covariance(act):
+    for part in ("phi", "phi_prime"):
+        with pytest.raises(ValueError, match="needs variances .* got -1.0"):
+            bivariate_expectation(act, part, -1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+            bivariate_expectation(act, part, 1.0, 1.0, 3.0)
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):  # one bad entry of many
+            bivariate_expectation(act, part, 1.0, [1.0, 4.0], [0.5, -2.0 * (1 + 1e-11)])
+        # past sqrt(ab) by rounding only: taken as rho = -1
+        near = bivariate_expectation(act, part, 2.0, 0.5, -1.0 * (1 + 1e-15))
+        assert near == pytest.approx(bivariate_expectation(act, part, 2.0, 0.5, -1.0),
+                                     rel=1e-12, abs=1e-15)
+        if act.kind == "erf":
+            assert np.isfinite(bivariate_expectation(act, part, 0.0, 1.0, 0.0))
+            with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+                bivariate_expectation(act, part, 0.0, 1.0, 1e-300)
+        else:
+            with pytest.raises(ValueError, match="needs variances > 0, got 0.0"):
+                bivariate_expectation(act, part, [1.0, 0.0], 1.0, 0.0)
 
 
 def test_bivariate_smooth_convergence_in_order():

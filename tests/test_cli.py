@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earlylin.cli import _FLOAT_KEYS, ConfigError, DEFAULTS, run, validate_config
+from earlylin.cli import _FLOAT_KEYS, _INT_KEYS, ConfigError, DEFAULTS, run, validate_config
 
 
 def read_tree(root):
@@ -399,21 +399,22 @@ def test_label_range_warnings_print_in_the_cli_format(tmp_path):
     assert manifest["warnings"] == []  # the manifest holds the config's warnings only
 
 
-def test_moments_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
-    proc = cli_process("moments", "--act", "relu", "--order", "2", cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr == ("config error: /order: piecewise-linear activations need "
-                           "order >= 64, got 2\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cnn_ntk_piecewise_order_below_the_minimum_is_a_config_error(tmp_path):
-    proc = cli_process("cnn-ntk", "--act", "relu", "--order", "2", "--d", "8", "--q", "2",
-                       "--n", "16", cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr == ("config error: /order: piecewise-linear activations need "
-                           "order >= 64, got 2\n")
-    assert list(tmp_path.iterdir()) == []
+def test_piecewise_linear_low_order_runs_as_the_default_order(tmp_path, capsys):
+    # the relu kinds use closed forms, so --order changes no value
+    for sub, args, name in (("moments", [], "moments.json"),
+                            ("cnn-ntk", ["--d", "8", "--q", "2", "--n", "16"], "deviation.csv")):
+        written = []
+        for order in (["--order", "2"], []):
+            out = tmp_path / f"{sub}{len(order)}"
+            assert run([sub, "--act", "relu", *args, *order, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            written.append((out / name).read_text())
+        if sub == "moments":  # the order is recorded, and nothing else differs
+            low, default = map(json.loads, written)
+            assert (low.pop("order"), default.pop("order")) == (2, 128)
+        else:
+            low, default = written
+        assert low == default
 
 
 def test_cnn_ntk_tabulates_at_the_given_order(tmp_path):
@@ -430,18 +431,6 @@ def test_cnn_ntk_tabulates_at_the_given_order(tmp_path):
     assert [{k: float(v) for k, v in row.items()} for row in rows] == [
         {"d": p.d, "n": p.n, "q": p.q, "deviation": p.deviation,
          "base_norm": p.base_norm, "ratio": p.ratio} for p in want]
-
-
-@pytest.mark.parametrize("act, order, code", [
-    ("leaky-relu", 63, 2), ("identity", 1, 2), ("relu", 64, 0), ("erf", 2, 0)])
-def test_moments_order_floor_applies_to_piecewise_kinds_only(tmp_path, capsys, act,
-                                                             order, code):
-    assert run(["moments", "--act", act, "--order", str(order),
-                "--out", str(tmp_path)]) == code
-    if code == 2:
-        assert capsys.readouterr().err == (
-            "config error: /order: piecewise-linear activations need order >= 64, "
-            f"got {order}\n")
 
 
 def test_non_finite_leaky_relu_slope_is_a_config_error(tmp_path, capsys):
@@ -486,3 +475,52 @@ def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
     for act in ("erf", "tanh", "relu", "sigmoid"):  # converged at the default order
         assert run(["moments", "--act", act, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args, key", [
+    (("agreement", "--seed=-1", "--d", "5", "--n", "50", "--m", "4", "--n-test", "0"), "seed"),
+    (("norm-ablation", "--a-seed=-1", "--d", "5", "--n", "50", "--m", "4"), "a_seed"),
+    (("concentration", "--seed=-1"), "seed"),
+    (("agreement", "--n-test=-1", "--d", "5", "--n", "50", "--m", "4"), "n_test"),
+    (("cnn-ntk", "--growth=-10", "--d", "4", "--q", "2", "--n", "8"), "growth"),
+    (("cnn-ntk", "--growth", "1e6", "--d", "4", "--q", "2", "--n", "8"), "growth"),
+])
+def test_out_of_range_seeds_n_test_and_growth_are_config_errors(tmp_path, capsys, args, key):
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: /{key}: "), err
+    assert not out.exists()
+
+
+SMALL = {  # sizes at which every subcommand runs in well under a second
+    "moments": [],
+    "spectral-decay": ["--d-list", "2,3,4", "--n", "6", "--m", "4", "--seeds", "1"],
+    "agreement": ["--d", "3", "--n", "12", "--m", "4", "--n-test", "3"],
+    "discrepancy-sweep": ["--d-list", "2,3", "--n", "8", "--m", "4", "--seeds", "2"],
+    "cnn-ntk": ["--d", "4", "--q", "2", "--n", "6"],
+    "concentration": ["--d", "3", "--n", "10"],
+    "norm-ablation": ["--d", "3", "--n", "12", "--m", "4"],
+}
+NUMBER_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
+               for key in defaults if key in _INT_KEYS | _FLOAT_KEYS]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("sub, key", NUMBER_KEYS, ids=[f"{s}-{k}" for s, k in NUMBER_KEYS])
+def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, capsys, sub,
+                                                                  key, value):
+    # a config error, or a run that passes or fails its checks: never a
+    # traceback, a divergence or a raw warning
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([sub, *SMALL[sub], f"--{key.replace('_', '-')}={value}",
+                    "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert lines and all(line.startswith("config error: ") for line in lines), lines
+        assert not out.exists()
+    else:
+        assert code in (0, 1)
+        assert all(line.startswith("warning: ") for line in lines), lines

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from earlylin.activations import ERF
 from earlylin import datagen
+from earlylin.cli import _write_csv
 from earlylin.datagen import (
     CovarianceSpec,
     DataSpec,
-    Dataset,
     LabelRangeWarning,
     concentration_report,
     generate_hypercube,
@@ -19,8 +19,7 @@ from earlylin.datagen import (
     identity_covariance,
     labels_norm_dependent,
     labels_teacher_sign,
-    load_csv,
-    save_csv,
+    load_matrix,
 )
 from earlylin.network import random_init
 
@@ -211,77 +210,57 @@ def test_concentration_single_row():
 
 
 # ------------------------------------------------------------------- csv
+# What the package writes (`cli._write_csv`), `load_matrix` reads back.
+
+def write_matrix(path, A):
+    _write_csv(path, [f"x{j + 1}" for j in range(A.shape[1])], A)
+
 
 def test_csv_roundtrip_is_lossless(tmp_path):
     X = generate_inputs(spec(20, 3, seed=6))
-    y = np.tanh(X[:, 0])  # keeps |y| <= 1
-    ds = Dataset(X=X, y=y)
+    A = np.column_stack([X, np.tanh(X[:, 0])])
     path = tmp_path / "data.csv"
-    save_csv(ds, path)
-    back = load_csv(path)
-    np.testing.assert_array_equal(back.X, X)
-    np.testing.assert_array_equal(back.y, y)
-
-
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        load_csv(path)
+    write_matrix(path, A)
+    np.testing.assert_array_equal(load_matrix(path), A)
 
 
 def test_load_rejects_short_row_with_line_number(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("x1,x2,y\n0.1,0.2,0.3\n0.4,0.5\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_csv(path)
+    with pytest.raises(ValueError, match="line 3: expected 3 fields, got 2"):
+        load_matrix(path)
 
 
 def test_load_rejects_non_numeric_with_line_number(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("x1,y\n0.1,0.2\nfoo,0.3\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_csv(path)
-
-
-def test_load_warns_on_out_of_range_label(tmp_path):
-    path = tmp_path / "range.csv"
-    path.write_text("x1,y\n0.1,1.5\n0.2,-0.5\n")
-    with pytest.warns(LabelRangeWarning, match=r"1 of 2 labels .* outside \[-1, 1\]; kept raw"):
-        ds = load_csv(path)
-    np.testing.assert_array_equal(ds.y, [1.5, -0.5])
+    with pytest.raises(ValueError, match="line 3: non-numeric"):
+        load_matrix(path)
 
 
 def test_saved_norm_labels_load_back_unchanged(tmp_path):
     X = generate_inputs(spec(50, 4, seed=7))
     with pytest.warns(LabelRangeWarning):
         y = labels_norm_dependent(X, np.array([0.5, 0.0, 0.0, 0.0]))
+    assert np.any(np.abs(y) > 1.0)
     path = tmp_path / "norm.csv"
-    save_csv(Dataset(X=X, y=y), path)
-    with pytest.warns(LabelRangeWarning):
-        back = load_csv(path)
-    np.testing.assert_array_equal(back.X, X)
-    np.testing.assert_array_equal(back.y, y)
+    write_matrix(path, np.column_stack([X, y]))
+    np.testing.assert_array_equal(load_matrix(path)[:, -1], y)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(0, 20), d=st.integers(1, 20))
+@given(data=st.data(), n=st.integers(1, 20), d=st.integers(1, 20))
 def test_save_then_load_is_the_identity(tmp_path_factory, data, n, d):
-    # any finite float64: subnormals, the largest magnitudes, labels anywhere
-    X = data.draw(arrays(np.float64, (n, d), elements=finite_floats))
-    y = data.draw(arrays(np.float64, (n,), elements=finite_floats))
+    # any finite float64: subnormals, the largest magnitudes, either sign of zero
+    A = data.draw(arrays(np.float64, (n, d), elements=finite_floats))
     path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
-    save_csv(Dataset(X=X, y=y), path)
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        back = load_csv(path)
-    assert np.array_equal(back.X, X) and back.X.shape == (n, d)
-    assert np.array_equal(back.y, y) and back.y.shape == (n,)
-    label_warnings = [w for w in seen if issubclass(w.category, LabelRangeWarning)]
-    assert len(label_warnings) == int(bool(np.any(np.abs(y) > 1.0)))
+    write_matrix(path, A)
+    back = load_matrix(path)
+    assert back.shape == (n, d) and np.array_equal(back, A)
+    assert np.array_equal(np.signbit(back), np.signbit(A))
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
@@ -292,11 +271,11 @@ def test_load_rejects_non_finite_fields_with_line_number(tmp_path, field, column
     path = tmp_path / "nonfinite.csv"
     path.write_text("x1,y\n0.1,0.2\n" + ",".join(row) + "\n")
     with pytest.raises(ValueError, match="line 3: non-finite"):
-        load_csv(path)
+        load_matrix(path)
 
 
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_csv(path)
+    with pytest.raises(ValueError, match="no data rows"):
+        load_matrix(path)

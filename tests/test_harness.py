@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from earlylin import network
-from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu, phi
+from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu, phi, phi_prime
 from earlylin.datagen import (
     CovarianceSpec,
     DataSpec,
@@ -20,18 +20,18 @@ from earlylin.harness import (
     coupled_run,
     default_learning_rate,
     discrepancy_vs_dimension,
-    jacobian_deviation_probe,
     make_labels,
     norm_feature_ablation_experiment,
     resolve_run,
     residual_subspace_decomposition,
     spectral_decay_experiment,
 )
-from earlylin.kernels import linear_kernel, ntk_first_layer, ntk_second_layer, spectral_norm
+from earlylin.kernels import linear_kernel, ntk_first_layer, spectral_norm
 from earlylin.linmodel import features
 from earlylin.network import (
     DivergenceError,
     NetTrainable,
+    preactivations,
     random_init,
     run_lockstep,
     symmetric_init,
@@ -228,6 +228,14 @@ def test_discrepancy_sweep_guards():
 
 # -------------------------------------------------------- deviation probes
 
+def first_layer_cross_gram(net_t, net_0, X):
+    """J1(theta_t) J1(theta_0)^T, the first-layer tangent cross-Gram:
+    (1/m) (phi'(Z_t) diag(v_t)) (phi'(Z_0) diag(v_0))^T (.) X X^T/d."""
+    S_t = phi_prime(net_t.act, preactivations(net_t, X)) * net_t.v
+    S_0 = phi_prime(net_0.act, preactivations(net_0, X)) * net_0.v
+    return (S_t @ S_0.T) / net_t.m * (X @ X.T / X.shape[1])
+
+
 def test_probe_with_identity_activation_sees_zero_deviation():
     # the identity's first-layer tangent features don't depend on W, so the
     # cross-Gram sticks to X X^T / d no matter how far training wanders
@@ -239,8 +247,8 @@ def test_probe_with_identity_activation_sees_zero_deviation():
                              lambda t, u, mse: model.net.copy())
     assert np.any(snapshots[-1].W != snapshots[0].W)
     K_lin = X @ X.T / d  # zeta = 1, nu = 0
-    for probe in jacobian_deviation_probe(snapshots, X, K_lin, mode="first"):
-        assert probe.eps <= 1e-10
+    for net_t in snapshots:
+        assert spectral_norm(first_layer_cross_gram(net_t, snapshots[0], X) - K_lin) <= 1e-10
 
 
 def test_probe_at_the_reference_point_reduces_to_the_kernel_distance():
@@ -248,26 +256,18 @@ def test_probe_at_the_reference_point_reduces_to_the_kernel_distance():
     X = generate_inputs(DataSpec(identity_covariance(d), "gaussian", n, 1))
     net = symmetric_init(32, d, ERF, seed=2)
     mom = moments(ERF)
-    K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin-full")
-    probes = jacobian_deviation_probe([net], X, K_lin, mode="both")
-    K = ntk_first_layer(net, X).values + ntk_second_layer(net, X).values
-    want = spectral_norm(K - K_lin.values)
-    assert probes[0].eps == pytest.approx(want, rel=1e-9)
-    assert probes[0].eps_over_n_d == pytest.approx(want / (n / d), rel=1e-9)
+    K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin1").values
+    eps = spectral_norm(first_layer_cross_gram(net, net, X) - K_lin)
+    assert eps == pytest.approx(spectral_norm(ntk_first_layer(net, X).values - K_lin),
+                                rel=1e-9)
 
 
 def test_probe_against_the_initial_empirical_kernel_is_exact_zero():
     d = 6
     X = generate_inputs(DataSpec(identity_covariance(d), "gaussian", 20, 3))
     net = symmetric_init(16, d, SIGMOID, seed=4)
-    K = ntk_first_layer(net, X).values + ntk_second_layer(net, X).values
-    probes = jacobian_deviation_probe([net], X, K, mode="both")
-    assert probes[0].eps <= 1e-12
-
-
-def test_probe_requires_a_snapshot():
-    with pytest.raises(ValueError, match="snapshot"):
-        jacobian_deviation_probe([], np.ones((3, 2)), np.eye(3))
+    K = ntk_first_layer(net, X).values
+    assert spectral_norm(first_layer_cross_gram(net, net, X) - K) <= 1e-12
 
 
 def test_probe_deviation_stays_small_over_an_erf_training_run():
@@ -287,9 +287,11 @@ def test_probe_deviation_stays_small_over_an_erf_training_run():
             snapshots.append(model.net.copy())
 
     run_lockstep("training", {"net": model}, y, eta, T, record)
-    K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin1")
-    probes = jacobian_deviation_probe(snapshots, X, K_lin, mode="first")
-    assert all(p.eps_over_n_d <= 0.2 for p in probes)
+    assert len(snapshots) == 3
+    K_lin = linear_kernel(X, mom, nu(mom, identity_covariance(d), d), "lin1").values
+    for net_t in snapshots:
+        eps = spectral_norm(first_layer_cross_gram(net_t, snapshots[0], X) - K_lin)
+        assert eps / (n / d) <= 0.2
 
 
 # -------------------------------------------------- residual decomposition

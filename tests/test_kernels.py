@@ -35,8 +35,6 @@ from earlylin.kernels import (
 )
 from earlylin.linmodel import norm_feature
 from earlylin.network import (
-    jacobian_first_layer_apply,
-    jacobian_first_layer_transpose_apply,
     jacobian_second_layer,
     preactivations,
     random_init,
@@ -77,11 +75,14 @@ def test_first_layer_kernel_matches_matrix_free_jacobian_gram():
     net = random_init(24, 7, ERF, seed=4)
     X = gaussian(8, 7, seed=5)
     K = ntk_first_layer(net, X).values
+    # J1 delta = (phi'(Z) (.) X delta^T) v / sqrt(m d), J1^T r = v (.) (phi'(Z) (.) r)^T X / sqrt(m d)
+    G = phi_prime(ERF, preactivations(net, X))
+    scale = math.sqrt(24 * 7)
     for i in range(8):
         e = np.zeros(8)
         e[i] = 1.0
-        col = jacobian_first_layer_apply(
-            net, X, jacobian_first_layer_transpose_apply(net, X, e))
+        delta = net.v[:, None] * ((G * e[:, None]).T @ X) / scale
+        col = (G * (X @ delta.T)) @ net.v / scale
         np.testing.assert_allclose(col, K[:, i], rtol=1e-10, atol=1e-14)
 
 
@@ -214,7 +215,7 @@ def test_expected_kernel_guards():
     X[2] = 0.0  # phi'(0) = 1 is a convention, not a Gaussian expectation
     for act in (RELU, leaky_relu(-0.5), IDENTITY):
         for build in (expected_ntk_first, expected_ntk_second):
-            with pytest.raises(ValueError, match="zero row"):
+            with pytest.raises(ValueError, match="needs variances > 0"):
                 build(X, act)
     assert np.all(np.isfinite(expected_ntk_first(X, ERF).values))  # erf'(0) is no convention
 

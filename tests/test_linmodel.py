@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from earlylin.activations import (
     moments,
     nu,
 )
-from earlylin.datagen import DataSpec, Dataset, generate_hypercube, generate_inputs, identity_covariance
+from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import linear_kernel
 from earlylin.linmodel import (
     FeatureMap,
@@ -125,6 +126,11 @@ def test_naive_map_freezes_the_norm_feature():
 
 
 # ----------------------------------------------------------------- training
+
+class Dataset(NamedTuple):
+    X: np.ndarray
+    y: np.ndarray
+
 
 def dataset(n=24, d=6, seed=0):
     X = gaussian(n, d, seed)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,21 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from earlylin import network
 from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, SOFTPLUS, TANH, Activation, phi, phi_prime
-from earlylin.datagen import DataSpec, Dataset, generate_inputs, identity_covariance
+from earlylin.datagen import DataSpec, generate_inputs, identity_covariance
 from earlylin.kernels import ntk_first_layer, ntk_second_layer
 from earlylin.network import (
     Cnn1D,
     DivergenceError,
     NetTrainable,
     TwoLayerNet,
-    circular_conv,
     cnn_forward,
     cnn_init,
     cnn_loss_gradients,
     cnn_preactivations,
     forward,
-    jacobian_first_layer_apply,
-    jacobian_first_layer_transpose_apply,
     jacobian_second_layer,
     loss_gradients,
     preactivations,
@@ -36,6 +34,20 @@ SMOOTH_ACTS = [ERF, TANH, SIGMOID, SOFTPLUS]
 
 def gaussian(n, d, seed=0):
     return generate_inputs(DataSpec(identity_covariance(d), "gaussian", n, seed))
+
+
+class Dataset(NamedTuple):
+    X: np.ndarray
+    y: np.ndarray
+
+
+def materialized_j1(net, X):
+    """The first-layer Jacobian as an n x (m*d) matrix: entry (i, (r, k)) is
+    d f(x_i) / d W_rk = v_r phi'(w_r . x_i / sqrt(d)) x_ik / sqrt(m d)."""
+    n, d = X.shape
+    G = phi_prime(net.act, preactivations(net, X))
+    J = (G * net.v)[:, :, None] * X[:, None, :] / math.sqrt(net.m * d)
+    return J.reshape(n, net.m * d)
 
 
 def small_dataset(n=16, d=6, seed=0):
@@ -140,27 +152,30 @@ def test_forward_rejects_wrong_width():
 
 def test_jacobian_first_layer_zero_direction():
     net = random_init(6, 4, ERF, seed=2)
-    out = jacobian_first_layer_apply(net, gaussian(9, 4), np.zeros((6, 4)))
+    out = materialized_j1(net, gaussian(9, 4)) @ np.zeros(6 * 4)
     np.testing.assert_array_equal(out, np.zeros(9))
 
 
 def test_jacobian_first_layer_scalar_closed_form():
-    w, v, x, dw = 0.7, -1.0, 1.3, 0.25
+    w, v, x = 0.7, -1.0, 1.3
     net = TwoLayerNet(W=np.array([[w]]), v=np.array([v]), act=TANH)
-    got = jacobian_first_layer_apply(net, np.array([[x]]), np.array([[dw]]))
-    np.testing.assert_allclose(got, [v * phi_prime(TANH, w * x) * x * dw], rtol=1e-14)
+    got = materialized_j1(net, np.array([[x]]))
+    np.testing.assert_allclose(got, [[v * phi_prime(TANH, w * x) * x]], rtol=1e-14)
 
 
 def test_jacobian_first_layer_adjoint_identity():
+    # <J1 delta, r> = <delta, J1^T r>, and J1^T r / n is the W gradient of the
+    # loss at the labels y = f - r
     rng = np.random.default_rng(11)
     net = random_init(12, 5, SOFTPLUS, seed=3)
     X = gaussian(20, 5, seed=4)
+    J = materialized_j1(net, X)
     for _ in range(5):
         delta = rng.standard_normal((12, 5))
         r = rng.standard_normal(20)
-        lhs = jacobian_first_layer_apply(net, X, delta) @ r
-        rhs = np.sum(delta * jacobian_first_layer_transpose_apply(net, X, r))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+        grad_W, _ = loss_gradients(net, X, forward(net, X) - r)
+        np.testing.assert_allclose((J @ delta.ravel()) @ r, 20 * np.sum(delta * grad_W),
+                                   rtol=1e-10)
 
 
 def test_jacobian_first_layer_matches_directional_difference():
@@ -172,16 +187,8 @@ def test_jacobian_first_layer_matches_directional_difference():
     plus.W = net.W + eps * delta
     minus.W = net.W - eps * delta
     fd = (forward(plus, X) - forward(minus, X)) / (2 * eps)
-    np.testing.assert_allclose(jacobian_first_layer_apply(net, X, delta), fd,
+    np.testing.assert_allclose(materialized_j1(net, X) @ delta.ravel(), fd,
                                rtol=1e-7, atol=1e-10)
-
-
-def test_jacobian_transpose_shape_validation():
-    net = random_init(4, 3, ERF, seed=0)
-    with pytest.raises(ValueError, match="expected"):
-        jacobian_first_layer_transpose_apply(net, gaussian(6, 3), np.zeros(5))
-    with pytest.raises(ValueError, match="expected"):
-        jacobian_first_layer_apply(net, gaussian(6, 3), np.zeros((4, 2)))
 
 
 def test_jacobian_second_layer_zero_inputs_with_odd_activation():
@@ -208,18 +215,12 @@ def test_jacobian_second_layer_gram_is_the_second_layer_ntk():
 
 
 def test_first_layer_jacobian_lipschitz_in_weight_movement():
-    # Moving the weights by ||dW||_F moves the (matrix-free) first-layer
-    # Jacobian by at most ~ sqrt(n/(m d)) * ||dW||_F in operator norm.
+    # Moving the weights by ||dW||_F moves the first-layer Jacobian by at
+    # most ~ sqrt(n/(m d)) * ||dW||_F in operator norm.
     n, d, m = 512, 64, 256
     net0 = symmetric_init(m, d, ERF, seed=0)
     X = gaussian(n, d, seed=0)
-
-    def materialized_j1(net):
-        G = phi_prime(net.act, preactivations(net, X))
-        J = (G * net.v)[:, :, None] * X[:, None, :] / math.sqrt(m * d)
-        return J.reshape(n, m * d)
-
-    J0 = materialized_j1(net0)
+    J0 = materialized_j1(net0, X)
     rng = np.random.default_rng(17)
     ratios = []
     for _ in range(20):
@@ -227,7 +228,7 @@ def test_first_layer_jacobian_lipschitz_in_weight_movement():
         delta *= rng.uniform(0.5, 5.0) / np.linalg.norm(delta)
         net = net0.copy()
         net.W = net0.W + delta
-        dJ = materialized_j1(net) - J0
+        dJ = materialized_j1(net, X) - J0
         u = np.random.default_rng(1).standard_normal(m * d)
         for _ in range(60):
             w = dJ @ u
@@ -486,28 +487,9 @@ def test_weight_movement_stays_within_the_early_time_radius():
 
 # --------------------------------------------------------------------- cnn
 
-def test_circular_conv_identity_filter():
-    x = np.arange(6.0)
-    np.testing.assert_array_equal(circular_conv(np.array([1.0]), x), x)
-
-
-def test_circular_conv_all_ones_full_width():
-    d = 5
-    out = circular_conv(np.ones(d), np.ones(d))
-    np.testing.assert_array_equal(out, np.full(d, float(d)))
-
-
-def test_circular_conv_wraps_around():
-    w = np.array([1.0, 2.0])
-    x = np.array([3.0, 4.0, 5.0])
-    # (w*x)[i] = w1 x_i + w2 x_{i+1}, cyclic
-    np.testing.assert_array_equal(circular_conv(w, x),
-                                  [3 + 8, 4 + 10, 5 + 6])
-
-
-def test_circular_conv_rejects_long_filters():
-    with pytest.raises(ValueError, match="exceeds"):
-        circular_conv(np.ones(4), np.ones(3))
+def circular_correlation(w, x):
+    """(w * x)[i] = sum_j w[j] x[i+j] with wraparound indexing."""
+    return np.correlate(np.concatenate([x, x[: w.size - 1]]), w, mode="valid")
 
 
 def test_cnn_shapes_and_patch_consistency():
@@ -517,7 +499,7 @@ def test_cnn_shapes_and_patch_consistency():
     assert Z.shape == (4, 5, 3)
     for r in range(3):
         np.testing.assert_allclose(
-            Z[0, :, r], circular_conv(cnn.W[r], X[0]) / math.sqrt(2), rtol=1e-14)
+            Z[0, :, r], circular_correlation(cnn.W[r], X[0]) / math.sqrt(2), rtol=1e-14)
 
 
 def test_cnn_forward_matches_explicit_sum():
@@ -527,7 +509,7 @@ def test_cnn_forward_matches_explicit_sum():
     for i in range(5):
         total = 0.0
         for r in range(cnn.m):
-            conv = circular_conv(cnn.W[r], X[i]) / math.sqrt(cnn.q)
+            conv = circular_correlation(cnn.W[r], X[i]) / math.sqrt(cnn.q)
             total += cnn.V[r] @ phi(TANH, conv)
         want[i] = total / math.sqrt(cnn.m * cnn.d)
     np.testing.assert_allclose(cnn_forward(cnn, X), want, rtol=1e-12)
