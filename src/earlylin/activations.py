@@ -26,11 +26,8 @@ from scipy import special
 if TYPE_CHECKING:  # pragma: no cover
     from .datagen import CovarianceSpec
 
-SMOOTH = "smooth"
-PIECEWISE_LINEAR = "piecewise-linear"
-
-_SMOOTH_KINDS = ("erf", "tanh", "sigmoid", "softplus")
-_PL_KINDS = ("relu", "leaky-relu", "identity")
+_PL_KINDS = ("relu", "identity", "leaky-relu")
+KINDS = ("erf", "tanh", "sigmoid", "softplus") + _PL_KINDS  # smooth, then piecewise-linear
 
 MAX_ORDER = 256
 
@@ -51,14 +48,10 @@ class Activation:
     slope: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SMOOTH_KINDS + _PL_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == "leaky-relu" and not math.isfinite(self.slope):
             raise ValueError("leaky-relu slope must be finite")
-
-    @property
-    def smoothness(self) -> str:
-        return SMOOTH if self.kind in _SMOOTH_KINDS else PIECEWISE_LINEAR
 
     @property
     def negative_slope(self) -> float:
@@ -309,7 +302,7 @@ def moments(act: Activation, order: int | None = None) -> Moments:
         order = default_order(act)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
-    if act.smoothness == PIECEWISE_LINEAR:
+    if act.kind in _PL_KINDS:
         a = act.negative_slope
         return Moments(
             zeta=(1.0 + a) / 2.0,
@@ -333,9 +326,9 @@ def moments(act: Activation, order: int | None = None) -> Moments:
 
 
 def nu(mom: Moments, sigma: "CovarianceSpec", d: int) -> float:
-    """The covariance-weighted slope constant: E[g phi'(g)] * sqrt(tr(Sigma^2)/d)."""
-    spec = np.asarray(sigma.spectrum(), dtype=float)
-    return mom.g_phi_prime * math.sqrt(float(np.sum(spec * spec)) / d)
+    """The covariance-weighted slope constant E[g phi'(g)] sqrt(tr(Sigma^2)/d).
+    Inputs have the identity covariance, tr(Sigma^2) = d, so it is E[g phi'(g)]."""
+    return mom.g_phi_prime
 
 
 def bivariate_expectation(act: Activation, part: str, a, b, c,
@@ -374,7 +367,7 @@ def bivariate_expectation(act: Activation, part: str, a, b, c,
         if prime:
             return (4.0 / math.pi) / np.sqrt(P - 4.0 * c**2)
         return (2.0 / math.pi) * np.arcsin(2.0 * c / np.sqrt(P))
-    if act.smoothness == PIECEWISE_LINEAR:
+    if act.kind in _PL_KINDS:
         alpha = act.negative_slope
         rho = np.clip(c / bound, -1.0, 1.0)
         angle = np.pi - np.arccos(rho)

@@ -28,23 +28,12 @@ import sys
 import warnings
 
 from . import __version__
-from .activations import (
-    ERF,
-    IDENTITY,
-    MAX_ORDER,
-    RELU,
-    SIGMOID,
-    SOFTPLUS,
-    TANH,
-    Activation,
-    leaky_relu,
-    moments,
-)
+from .activations import KINDS, MAX_ORDER, Activation, leaky_relu, moments
 from .datagen import (
-    CovarianceSpec,
     DataSpec,
     LabelRangeWarning,
     concentration_report,
+    generate_inputs,
     identity_covariance,
     load_matrix,
 )
@@ -60,6 +49,7 @@ from .harness import (
     discrepancy_vs_dimension,
     norm_feature_ablation_experiment,
     residual_subspace_decomposition,
+    shift_seeds,
     spectral_decay_experiment,
 )
 from .network import DivergenceError
@@ -71,15 +61,6 @@ FLOAT_FMT = "%.17g"
 # `moments` warns when its values move by more than this, relative to the
 # largest of them, from the given quadrature order to twice that order.
 MOMENTS_RTOL = 1e-8
-
-_ACTIVATIONS = {
-    "erf": ERF,
-    "tanh": TANH,
-    "sigmoid": SIGMOID,
-    "softplus": SOFTPLUS,
-    "relu": RELU,
-    "identity": IDENTITY,
-}
 
 SUBCOMMANDS = ("moments", "spectral-decay", "agreement", "discrepancy-sweep",
                "cnn-ntk", "concentration", "norm-ablation", "decompose")
@@ -133,18 +114,16 @@ DEFAULTS = {
     },
 }
 
-_INT_KEYS = {"n", "d", "m", "q", "seeds", "seed", "T", "record_stride",
-             "order", "teacher_width", "n_test", "a_seed"}
-_FLOAT_KEYS = {"eta", "horizon_c", "a_norm", "slope", "growth",
-               "max_spectral_slope", "min_frobenius_slope", "min_r2",
-               "max_train_gap", "max_test_gap", "max_ratio", "min_fraction",
-               "bound_factor", "gram_lo", "gram_hi"}
+# A key's type is that of its default. A key that defaults to None in every
+# subcommand is a float unless it is listed here.
+_KEY_TYPES = ({key: float for defaults in DEFAULTS.values() for key in defaults}
+              | {"order": int, "residual_csv": str, "xtest_csv": str}
+              | {key: type(value) for defaults in DEFAULTS.values()
+                 for key, value in defaults.items() if value is not None})
 _INT_MINIMUM = {"n": 1, "d": 1, "m": 1, "q": 1, "seeds": 1, "record_stride": 1,
                 "teacher_width": 1, "T": 0, "seed": 0, "a_seed": 0, "n_test": 0}
-_BOOL_KEYS = {"require_decreasing", "radius_check"}
-_LIST_KEYS = {"d_list"}
 _CHOICE_KEYS = {
-    "act": tuple(_ACTIVATIONS) + ("leaky-relu",),
+    "act": KINDS,
     "mode": ("first", "second", "both"),
     "labels": ("teacher-sign", "norm", "zero"),
     "base": ("gaussian", "rademacher", "uniform-scaled"),
@@ -165,21 +144,22 @@ def _coerce(key: str, value):
         if key in _NULLABLE:
             return None
         raise ValueError("null not allowed")
-    if key in _LIST_KEYS:
+    kind = _KEY_TYPES[key]
+    if kind is list:
         if isinstance(value, str):
             value = [part for part in value.split(",") if part.strip()]
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"expected a non-empty list, got {value!r}")
         return [int(v) for v in value]
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         raise ValueError(f"expected true/false, got {value!r}")
-    if key in _INT_KEYS:
+    if kind is int:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
-    if key in _FLOAT_KEYS:
+    if kind is float:
         if isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
         value = float(value)
@@ -223,6 +203,16 @@ def _semantic_errors(subcommand: str, cfg: dict):
     for key, low in _INT_MINIMUM.items():
         if cfg.get(key) is not None and cfg[key] < low:
             yield key, f"must be >= {low}, got {cfg[key]}"
+    if "slope" in cfg and not -1.0 <= cfg["slope"] <= 1.0:
+        yield "slope", f"must be in [-1, 1], got {cfg['slope']}"
+    linear = cfg.get("act") == "identity" or (
+        cfg.get("act") == "leaky-relu" and cfg["slope"] == 1.0)
+    if subcommand == "spectral-decay" and linear:
+        yield "act", ("a linear activation's first-layer NTK equals its lin1 kernel "
+                      "exactly, so every norm is 0 and there is no decay to fit")
+    if subcommand == "cnn-ntk" and cfg["act"] == "leaky-relu" and cfg["slope"] == -1.0:
+        yield "slope", ("zeta = (1+slope)/2 is 0 at slope -1, so the base kernel "
+                        "2 zeta^2 XX^T/d is zero and the deviation ratio has no value")
     if cfg.get("m") is not None and cfg["m"] % 2 != 0:
         yield "m", "width must be even (symmetric initialization)"
     if "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
@@ -278,22 +268,19 @@ def _regime_warnings(cfg: dict) -> list[str]:
 def _activation(cfg: dict) -> Activation:
     if cfg["act"] == "leaky-relu":
         return leaky_relu(cfg["slope"])
-    return _ACTIVATIONS[cfg["act"]]
+    return Activation(cfg["act"])
 
 
 def _write_manifest(out_dir: str, subcommand: str, cfg: dict, raw: dict | None,
                     warnings: list[str]) -> None:
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "subcommand": subcommand,
         "config": cfg,
         "config_file": raw,
         "warnings": warnings,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _json_float(value: float):
@@ -302,18 +289,23 @@ def _json_float(value: float):
 
 
 def _write_failure(out_dir: str, subcommand: str, exc: DivergenceError) -> str:
-    failure = {
+    path = os.path.join(out_dir, "failure.json")
+    _write_json(path, {
         "subcommand": subcommand,
         "step": exc.step,
         "mses": {name: _json_float(v) for name, v in exc.mses.items()},
         "eta": exc.eta,
         "T": exc.T,
-    }
-    path = os.path.join(out_dir, "failure.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(failure, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return path
+
+
+def _write_json(path: str, obj) -> str:
+    """Write obj as indented JSON with sorted keys and a newline; return the JSON."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return text
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -349,23 +341,17 @@ class Assertion:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _coupled_config(cfg: dict, seed_shift: int = 0) -> CoupledRunConfig:
-    d = cfg["d"]
-    labels = LabelSpec(
-        kind=cfg["labels"],
-        teacher_width=cfg.get("teacher_width", 5),
-        teacher_seed=cfg["seed"] + seed_shift,
-        a_norm=cfg["a_norm"],
-        a_seed=cfg.get("a_seed", cfg["seed"]) + seed_shift,
-    )
+def _coupled_config(cfg: dict) -> CoupledRunConfig:
+    labels = LabelSpec(kind=cfg["labels"], teacher_width=cfg.get("teacher_width", 5),
+                       teacher_seed=cfg["seed"], a_norm=cfg["a_norm"],
+                       a_seed=cfg.get("a_seed", cfg["seed"]))
     return CoupledRunConfig(
         mode=cfg["mode"],
-        data=DataSpec(identity_covariance(d), "gaussian", cfg["n"],
-                      cfg["seed"] + seed_shift),
+        data=DataSpec(identity_covariance(cfg["d"]), "gaussian", cfg["n"], cfg["seed"]),
         m=cfg["m"],
         act=_activation(cfg),
         labels=labels,
-        net_seed=cfg["seed"] + seed_shift,
+        net_seed=cfg["seed"],
         eta=cfg["eta"],
         T=cfg["T"],
         horizon_c=cfg["horizon_c"],
@@ -400,10 +386,7 @@ def _run_moments(cfg, out_dir):
         "theta2": mom.theta2,
         "gamma": mom.gamma,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    with open(os.path.join(out_dir, "moments.json"), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    print(_write_json(os.path.join(out_dir, "moments.json"), payload))
     return []
 
 
@@ -420,17 +403,9 @@ def _run_spectral_decay(cfg, out_dir):
                ["d", "mean_spectral", "mean_frobenius"],
                [(d, float(result.mean_spectral[i]), float(result.mean_frobenius[i]))
                 for i, d in enumerate(result.d_list)])
-    fits = {
-        "spectral": {"slope": result.spectral_fit.slope,
-                     "intercept": result.spectral_fit.intercept,
-                     "r_squared": result.spectral_fit.r_squared},
-        "frobenius": {"slope": result.frobenius_fit.slope,
-                      "intercept": result.frobenius_fit.intercept,
-                      "r_squared": result.frobenius_fit.r_squared},
-    }
-    with open(os.path.join(out_dir, "fits.json"), "w", encoding="utf-8") as fh:
-        json.dump(fits, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "fits.json"),
+                {"spectral": dataclasses.asdict(result.spectral_fit),
+                 "frobenius": dataclasses.asdict(result.frobenius_fit)})
 
     checks = []
     sf, ff = result.spectral_fit, result.frobenius_fit
@@ -453,10 +428,10 @@ def _run_spectral_decay(cfg, out_dir):
 def _run_agreement(cfg, out_dir):
     checks = []
     summary_rows = []
+    base = _coupled_config(cfg)
     for k in range(cfg["seeds"]):
-        run_cfg = _coupled_config(cfg, seed_shift=k)
         seed = cfg["seed"] + k
-        result = _recorded_run(coupled_run, run_cfg,
+        result = _recorded_run(coupled_run, shift_seeds(base, k),
                                os.path.join(out_dir, f"agreement_seed{seed}.csv"),
                                AgreementRecord)
         log.info("agreement seed %d: eta=%g T=%d records=%d",
@@ -529,8 +504,6 @@ def _run_cnn_ntk(cfg, out_dir):
 
 
 def _run_concentration(cfg, out_dir):
-    from .datagen import generate_inputs
-
     spec = DataSpec(identity_covariance(cfg["d"]), cfg["base"], cfg["n"],
                     cfg["seed"])
     report = concentration_report(generate_inputs(spec))
@@ -620,7 +593,7 @@ _RUNNERS = {
 
 def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
     flag = "--" + key.replace("_", "-")
-    if key in _BOOL_KEYS:
+    if _KEY_TYPES[key] is bool:
         parser.add_argument(flag, action="store_const", const=True,
                             default=None, dest=key)
     else:

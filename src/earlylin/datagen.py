@@ -1,11 +1,12 @@
 """Input generation, label rules, concentration diagnostics, and the numeric
 CSV reader of `decompose`.
 
-Rows are generated from independent counter-based streams (numpy Philox,
-keyed by (seed, domain) with the row index placed in the high words of the
-256-bit counter), so row i depends only on (seed, i): datasets can be
-extended without perturbing existing rows, and generation order is
-irrelevant.
+Inputs have the identity covariance, the setting of the paper's bounds: the
+d coordinates of a row are iid draws of one unit-variance base law. Rows come
+from independent counter-based streams (numpy Philox, keyed by (seed, domain)
+with the row index placed in the high words of the 256-bit counter), so row i
+depends only on (seed, i): datasets can be extended without perturbing
+existing rows, and generation order is irrelevant.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-
-TRACE_TOL = 1e-9
-DEFAULT_SPECTRUM_BOUND = 10.0
+from .network import forward
 
 # Domain tags keep the Philox streams of different generators disjoint.
 _DOMAIN_INPUTS = 1
@@ -43,40 +42,17 @@ def _warn_label_range(y: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Diagonal covariance with tr(Sigma) = d and bounded spectrum."""
+    """The identity covariance of R^d: every input is isotropic."""
 
-    kind: str  # "identity" or "diagonal"
     d: int
-    diagonal: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "diagonal"):
-            raise ValueError(f"covariance kind must be identity or diagonal, got {self.kind!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.kind == "diagonal":
-            if self.diagonal is None or len(self.diagonal) != self.d:
-                raise ValueError("diagonal covariance needs a spectrum of length d")
-            spec = np.asarray(self.diagonal, dtype=float)
-            if np.any(spec <= 0):
-                raise ValueError("covariance spectrum entries must be positive")
-            if abs(float(spec.sum()) - self.d) > TRACE_TOL:
-                raise ValueError(
-                    f"covariance trace must equal d={self.d} (got {spec.sum()!r})"
-                )
-            if float(spec.max()) > DEFAULT_SPECTRUM_BOUND:
-                raise ValueError(
-                    f"covariance spectrum entry {spec.max()} exceeds bound {DEFAULT_SPECTRUM_BOUND}"
-                )
-
-    def spectrum(self) -> np.ndarray:
-        if self.kind == "identity":
-            return np.ones(self.d)
-        return np.asarray(self.diagonal, dtype=float)
 
 
 def identity_covariance(d: int) -> CovarianceSpec:
-    return CovarianceSpec("identity", d)
+    return CovarianceSpec(d)
 
 
 @dataclass(frozen=True)
@@ -130,14 +106,12 @@ def _base_row(rng: np.random.Generator, base: str, d: int) -> np.ndarray:
 
 
 def generate_inputs(spec: DataSpec) -> np.ndarray:
-    """Draw X (n x d) with rows Sigma^{1/2} x_bar, x_bar iid per the base law."""
+    """Draw X (n x d) with iid rows of iid unit-variance entries per the base law."""
     n, d = spec.n, spec.d
     X = np.empty((n, d))
     streams = _RowStreams(spec.seed, _DOMAIN_INPUTS)
     for i in range(n):
         X[i] = _base_row(streams.at(i), spec.base, d)
-    if spec.covariance.kind != "identity":
-        X *= np.sqrt(spec.covariance.spectrum())[None, :]
     return X
 
 
@@ -152,8 +126,6 @@ def generate_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 def labels_teacher_sign(X: np.ndarray, teacher) -> np.ndarray:
     """y = sign(teacher(x)) with sign(0) := +1."""
-    from .network import forward  # deferred: datagen is otherwise upstream of network
-
     u = forward(teacher, X)
     return np.where(u >= 0.0, 1.0, -1.0)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .activations import ERF, Activation, Moments, moments, nu
-from .datagen import DataSpec, identity_covariance, generate_hypercube, generate_inputs
+from .datagen import (DataSpec, generate_hypercube, generate_inputs, identity_covariance,
+                      labels_norm_dependent, labels_teacher_sign)
 from .kernels import (
     DecayFit,
     cnn_infinite_ntk,
@@ -64,8 +65,6 @@ class LabelSpec:
 
 
 def make_labels(X: np.ndarray, spec: LabelSpec) -> np.ndarray:
-    from .datagen import labels_norm_dependent, labels_teacher_sign
-
     if spec.kind == "zero":
         return np.zeros(X.shape[0])
     if spec.kind == "teacher-sign":
@@ -117,7 +116,6 @@ class CoupledRunResult:
     records: list[AgreementRecord]
     eta: float
     T: int
-    mode: str
     final_net: TwoLayerNet
     final_beta: np.ndarray
 
@@ -203,8 +201,8 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
 
     records = run_lockstep("coupled run", {"net": net, "lin": lin}, y, eta, T,
                            record, config.record_stride)
-    return CoupledRunResult(records=records, eta=eta, T=T, mode=config.mode,
-                            final_net=net.net, final_beta=lin.beta)
+    return CoupledRunResult(records=records, eta=eta, T=T, final_net=net.net,
+                            final_beta=lin.beta)
 
 
 @dataclass
@@ -215,34 +213,33 @@ class DiscrepancySweep:
     strictly_decreasing: bool
 
 
+def shift_seeds(config: CoupledRunConfig, k: int,
+                d: int | None = None) -> CoupledRunConfig:
+    """Run k of a sweep: every seed of `config` (data, teacher, label
+    direction, net) moved by k, and the input dimension set to d if given."""
+    data, labels = config.data, config.labels
+    d = data.d if d is None else d
+    return replace(
+        config, net_seed=config.net_seed + k,
+        data=DataSpec(identity_covariance(d), data.base, data.n, data.seed + k),
+        labels=replace(labels, teacher_seed=labels.teacher_seed + k,
+                       a_seed=labels.a_seed + k))
+
+
 def discrepancy_vs_dimension(d_list, base: CoupledRunConfig,
                              n_seeds: int = 5) -> DiscrepancySweep:
     """Max train_gap over the horizon, per dimension, medianed over seeds.
 
-    Seed k of a sweep shifts every seed in the base config by k. The base
-    config's data spec must use the identity covariance (a fixed diagonal
-    spectrum has no canonical rescaling across dimensions).
+    Run k at dimension d is `shift_seeds(base, k, d)`: base's rate, horizon
+    and labels, its seeds moved by k, isotropic inputs in R^d.
     """
     d_list = [int(d) for d in d_list]
     if len(d_list) < 1:
         raise ValueError("d_list must be non-empty")
-    if base.data.covariance.kind != "identity":
-        raise ValueError("dimension sweeps require the identity covariance")
     gaps = np.empty((len(d_list), n_seeds))
     for i, d in enumerate(d_list):
         for k in range(n_seeds):
-            cfg = replace(
-                base,
-                data=DataSpec(identity_covariance(d), base.data.base,
-                              base.data.n, base.data.seed + k),
-                labels=replace(base.labels,
-                               teacher_seed=base.labels.teacher_seed + k,
-                               a_seed=base.labels.a_seed + k),
-                net_seed=base.net_seed + k,
-                eta=base.eta,
-                T=base.T,
-            )
-            result = coupled_run(cfg)
+            result = coupled_run(shift_seeds(base, k, d))
             gaps[i, k] = max(r.train_gap for r in result.records)
     med = np.median(gaps, axis=1)
     decreasing = bool(np.all(np.diff(med) < 0)) if len(d_list) > 1 else True

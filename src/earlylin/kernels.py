@@ -33,9 +33,11 @@ from .activations import (
     Activation,
     Moments,
     bivariate_expectation,
+    phi_prime,
     run_in_blocks,
 )
 from .linmodel import norm_feature
+from .network import jacobian_second_layer, preactivations
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
     (1/h) G_h G_h^T (.) X X^T/d: half the preactivations, phi' and Gram
     product, equal to the full sum up to the order of its additions.
     """
-    from .network import preactivations
-    from .activations import phi_prime
-
     net = _distinct_neurons(net)
     G = phi_prime(net.act, preactivations(net, X))
     G *= net.v
@@ -91,8 +90,6 @@ def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
 def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
     """(1/m) phi(X W^T/sqrt(d)) phi(X W^T/sqrt(d))^T, from the h = m/2
     distinct neurons when the halves of W are equal (v plays no part)."""
-    from .network import jacobian_second_layer
-
     J2 = jacobian_second_layer(_distinct_neurons(net, signs=False), X)
     return KernelMatrix(values=J2 @ J2.T)
 

@@ -36,7 +36,7 @@ from earlylin.activations import (
     phi,
     phi_prime,
 )
-from earlylin.datagen import CovarianceSpec, identity_covariance
+from earlylin.datagen import identity_covariance
 
 ALL_ACTS = [ERF, TANH, SIGMOID, SOFTPLUS, RELU, IDENTITY, leaky_relu(0.01)]
 
@@ -421,16 +421,8 @@ def test_piecewise_linear_moments_do_not_depend_on_the_order(act):
 
 def test_nu_identity_covariance_is_theta1():
     m = moments(RELU)
-    assert nu(m, identity_covariance(12), 12) == pytest.approx(m.theta1, rel=1e-14)
+    assert nu(m, identity_covariance(12), 12) == m.theta1  # tr(I^2)/d = 1 exactly
     assert nu(moments(ERF), identity_covariance(12), 12) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_nu_scales_with_spectrum_second_moment():
-    d = 4
-    spec = CovarianceSpec(kind="diagonal", d=d, diagonal=(2.0, 1.0, 0.5, 0.5))
-    m = moments(RELU)
-    expected = m.theta1 * math.sqrt((4.0 + 1.0 + 0.25 + 0.25) / d)
-    assert nu(m, spec, d) == pytest.approx(expected, rel=1e-14)
 
 
 # ------------------------------------------------------- bivariate: smooth

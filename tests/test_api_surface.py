@@ -34,3 +34,24 @@ def test_only_the_listed_names_have_no_caller_outside_the_tests():
                 if sum(len(word.findall(text)) for text in texts) == 1:  # its definition
                     unreached.add(node.name)
     assert unreached == set(KEPT_FOR_THE_TESTS)
+
+
+def test_no_function_imports_an_earlylin_module():
+    # the package's modules import each other at the top, in one order with
+    # no cycle; a deferred import of another library (scipy.sparse.linalg
+    # for start-up time) is allowed
+    deferred = []
+    for path in sorted((ROOT / "src" / "earlylin").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n.startswith(".") or n.split(".")[0] == "earlylin" for n in names):
+                    deferred.append(f"{path.name}:{node.lineno} in {fn.name}")
+    assert deferred == []

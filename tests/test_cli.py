@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earlylin.cli import _FLOAT_KEYS, _INT_KEYS, ConfigError, DEFAULTS, run, validate_config
+from earlylin.cli import _KEY_TYPES, ConfigError, DEFAULTS, run, validate_config
 
 
 def read_tree(root):
@@ -442,8 +442,45 @@ def test_non_finite_leaky_relu_slope_is_a_config_error(tmp_path, capsys):
     assert err.value.errors == ["/slope: must be finite, got nan"]
 
 
+def test_a_key_has_the_type_of_its_default_in_every_subcommand():
+    for defaults in DEFAULTS.values():
+        for key, value in defaults.items():
+            assert value is None or type(value) is _KEY_TYPES[key], key
+
+
+SMALL_SWEEP = ("--d-list", "4,8,16", "--n", "50", "--m", "8", "--seeds", "1")
+SMALL_CNN = ("--d", "8", "--q", "2", "--n", "16")
+
+
+@pytest.mark.parametrize("args, key", [
+    (("spectral-decay", "--act", "identity"), "act"),
+    (("spectral-decay", "--act", "leaky-relu", "--slope", "1", *SMALL_SWEEP), "act"),
+    (("cnn-ntk", "--act", "leaky-relu", "--slope=-1", *SMALL_CNN), "slope"),
+    (("cnn-ntk", "--act", "leaky-relu", "--slope", "1e300", *SMALL_CNN), "slope"),
+    (("spectral-decay", "--act", "leaky-relu", "--slope", "1e300", *SMALL_SWEEP), "slope"),
+    (("agreement", "--act", "leaky-relu", "--slope", "1e300", "--d", "10", "--n", "200",
+      "--m", "16"), "slope"),
+    (("moments", "--act", "leaky-relu", "--slope", "1e300"), "slope"),
+    (("moments", "--act", "leaky-relu", "--slope=-1.5"), "slope"),
+])
+def test_activation_settings_with_no_result_are_config_errors(tmp_path, capsys, args, key):
+    # a zero norm to fit, a zero base kernel, or a slope past [-1, 1]
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: /{key}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slope", ["-1", "1"])
+def test_slopes_at_the_ends_of_the_range_run(tmp_path, slope):
+    assert run(["agreement", "--act", "leaky-relu", f"--slope={slope}", "--d", "3",
+                "--n", "12", "--m", "4", "--n-test", "3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "manifest.json").exists()
+
+
 FLOAT_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
-              for key in defaults if key in _FLOAT_KEYS]
+              for key in defaults if _KEY_TYPES[key] is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -503,7 +540,7 @@ SMALL = {  # sizes at which every subcommand runs in well under a second
     "norm-ablation": ["--d", "3", "--n", "12", "--m", "4"],
 }
 NUMBER_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
-               for key in defaults if key in _INT_KEYS | _FLOAT_KEYS]
+               for key in defaults if _KEY_TYPES[key] in (int, float)]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -10,7 +10,6 @@ from earlylin.activations import ERF
 from earlylin import datagen
 from earlylin.cli import _write_csv
 from earlylin.datagen import (
-    CovarianceSpec,
     DataSpec,
     LabelRangeWarning,
     concentration_report,
@@ -26,28 +25,6 @@ from earlylin.network import random_init
 
 def spec(n, d, base="gaussian", seed=0):
     return DataSpec(identity_covariance(d), base, n, seed)
-
-
-# ------------------------------------------------------------- covariance
-
-def test_covariance_requires_unit_average_eigenvalue():
-    CovarianceSpec(kind="diagonal", d=3, diagonal=(1.5, 1.0, 0.5))  # trace = d, fine
-    with pytest.raises(ValueError):
-        CovarianceSpec(kind="diagonal", d=3, diagonal=(2.0, 2.0, 2.0))
-
-
-def test_covariance_rejects_nonpositive_and_unbounded_entries():
-    with pytest.raises(ValueError):
-        CovarianceSpec(kind="diagonal", d=2, diagonal=(2.0, 0.0))
-    with pytest.raises(ValueError):
-        CovarianceSpec(kind="diagonal", d=2, diagonal=(-1.0, 3.0))
-    with pytest.raises(ValueError):
-        # above the operator-norm bound
-        CovarianceSpec(kind="diagonal", d=2, diagonal=(11.0, -9.0))
-
-
-def test_identity_covariance_spectrum():
-    np.testing.assert_array_equal(identity_covariance(4).spectrum(), np.ones(4))
 
 
 # ------------------------------------------------------------- generation
@@ -82,16 +59,6 @@ def test_rademacher_entries_are_signs():
 def test_uniform_entries_are_bounded_by_sqrt3():
     X = generate_inputs(spec(5000, 3, base="uniform-scaled", seed=1))
     assert np.abs(X).max() <= math.sqrt(3.0) + 1e-12
-
-
-def test_diagonal_covariance_scales_coordinates():
-    d = 4
-    cov = CovarianceSpec(kind="diagonal", d=d, diagonal=(2.0, 1.0, 0.5, 0.5))
-    X = generate_inputs(DataSpec(cov, "gaussian", 60_000, 3))
-    np.testing.assert_allclose(X.var(axis=0), [2.0, 1.0, 0.5, 0.5], rtol=0.05)
-    # same underlying draws as the identity version, just rescaled
-    X_id = generate_inputs(spec(60_000, d, seed=3))
-    np.testing.assert_allclose(X, X_id * np.sqrt([2.0, 1.0, 0.5, 0.5]), rtol=1e-12)
 
 
 def test_hypercube_entries_and_determinism():

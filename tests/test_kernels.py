@@ -18,7 +18,7 @@ from earlylin.activations import (
     phi,
     phi_prime,
 )
-from earlylin import activations, network
+from earlylin import activations, kernels, network
 from earlylin.datagen import DataSpec, generate_hypercube, generate_inputs, identity_covariance
 from earlylin.kernels import (
     DecayFit,
@@ -595,7 +595,7 @@ def test_a_mirrored_net_evaluates_its_distinct_neurons_only(monkeypatch):
     n, m = 30, 40
     X = gaussian(n, 6, seed=29)
     seen = {"phi": [], "phi_prime": []}
-    for module, name in ((activations, "phi_prime"), (network, "phi")):
+    for module, name in ((kernels, "phi_prime"), (network, "phi")):
         def counted(act, z, _name=name, _original=getattr(module, name)):
             seen[_name].append(z.size)
             return _original(act, z)
