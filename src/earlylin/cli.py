@@ -30,6 +30,7 @@ import warnings
 from . import __version__
 from .activations import KINDS, MAX_ORDER, Activation, leaky_relu, moments
 from .datagen import (
+    BASES,
     DataSpec,
     LabelRangeWarning,
     concentration_report,
@@ -38,6 +39,7 @@ from .datagen import (
     load_matrix,
 )
 from .harness import (
+    LABEL_KINDS,
     AblationRecord,
     AgreementRecord,
     CoupledRunConfig,
@@ -52,6 +54,7 @@ from .harness import (
     shift_seeds,
     spectral_decay_experiment,
 )
+from .linmodel import MODES
 from .network import DivergenceError
 
 log = logging.getLogger("earlylin")
@@ -122,12 +125,7 @@ _KEY_TYPES = ({key: float for defaults in DEFAULTS.values() for key in defaults}
                  for key, value in defaults.items() if value is not None})
 _INT_MINIMUM = {"n": 1, "d": 1, "m": 1, "q": 1, "seeds": 1, "record_stride": 1,
                 "teacher_width": 1, "T": 0, "seed": 0, "a_seed": 0, "n_test": 0}
-_CHOICE_KEYS = {
-    "act": KINDS,
-    "mode": ("first", "second", "both"),
-    "labels": ("teacher-sign", "norm", "zero"),
-    "base": ("gaussian", "rademacher", "uniform-scaled"),
-}
+_CHOICE_KEYS = {"act": KINDS, "mode": MODES, "labels": LABEL_KINDS, "base": BASES}
 _NULLABLE = {key for defaults in DEFAULTS.values()
              for key, value in defaults.items() if value is None}
 
@@ -238,6 +236,13 @@ def _semantic_errors(subcommand: str, cfg: dict):
         if rows is None or rows < 1:
             yield "growth", ("the second point's rows, n * 2^growth, must round to "
                              f"an integer >= 1; got {cfg['growth']} with n={cfg['n']}")
+        else:  # each point builds n x n float64 kernels: one must fit in memory
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if 8 * max(cfg["n"], rows) ** 2 > memory:
+                yield "n" if 8 * cfg["n"] ** 2 > memory else "growth", (
+                    f"an n x n float64 kernel (8 n^2 bytes) must fit in the "
+                    f"{memory / 2**30:.1f} GiB of memory; got n={cfg['n']} and "
+                    f"n * 2^growth = {rows:.4g}")
     if subcommand == "decompose":
         for key in ("residual_csv", "xtest_csv"):
             if cfg[key] is None:

@@ -25,7 +25,7 @@ from .network import forward
 _DOMAIN_INPUTS = 1
 _DOMAIN_HYPERCUBE = 2
 
-_BASES = ("gaussian", "rademacher", "uniform-scaled")
+BASES = ("gaussian", "rademacher", "uniform-scaled")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # Unif[-sqrt(3), sqrt(3)] has variance 1
 
 
@@ -63,8 +63,8 @@ class DataSpec:
     seed: int
 
     def __post_init__(self):
-        if self.base not in _BASES:
-            raise ValueError(f"base must be one of {_BASES}, got {self.base!r}")
+        if self.base not in BASES:
+            raise ValueError(f"base must be one of {BASES}, got {self.base!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 

@@ -1,4 +1,4 @@
-"""Coupled network/linear-model experiments and diagnostic probes.
+"""Coupled network/linear-model experiments.
 
 A coupled run trains the network and its matching linear feature model in
 lockstep with the *same* learning rate, starting from an exact tie (zero
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activations import ERF, Activation, Moments, moments, nu
+from .activations import ERF, Activation, Moments, moments
 from .datagen import (DataSpec, generate_hypercube, generate_inputs, identity_covariance,
                       labels_norm_dependent, labels_teacher_sign)
 from .kernels import (
@@ -28,18 +28,13 @@ from .kernels import (
     ntk_first_layer,
     spectral_norm,
 )
-from .linmodel import FeatureMap, LinearTrainable, features, naive_map
-from .network import (
-    NetTrainable,
-    TwoLayerNet,
-    random_init,
-    run_lockstep,
-    symmetric_init,
-)
+from .linmodel import MODES, FeatureMap, LinearTrainable, features, naive_map
+from .network import NetTrainable, random_init, run_lockstep, symmetric_init
 
 DEFAULT_HORIZON_C = 0.25
 DEFAULT_TEST_SIZE = 2000
 _THETA0_ZERO_TOL = 1e-12
+LABEL_KINDS = ("teacher-sign", "norm", "zero")
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class LabelSpec:
     a_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("teacher-sign", "norm", "zero"):
+        if self.kind not in LABEL_KINDS:
             raise ValueError(f"unknown label kind {self.kind!r}")
 
 
@@ -91,8 +86,8 @@ class CoupledRunConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("first", "second", "both"):
-            raise ValueError(f"mode must be first, second or both, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.m % 2 != 0:
             raise ValueError("width must be even (symmetric initialization)")
         if self.record_stride < 1:
@@ -116,8 +111,6 @@ class CoupledRunResult:
     records: list[AgreementRecord]
     eta: float
     T: int
-    final_net: TwoLayerNet
-    final_beta: np.ndarray
 
 
 def default_learning_rate(mode: str, d: int, n: int, mom: Moments) -> float:
@@ -146,17 +139,17 @@ def _mode_rates(mode: str, eta: float) -> tuple[float, float]:
 
 
 def resolve_run(config: CoupledRunConfig):
-    """Fill in data, labels, moments, rates, and horizon for a coupled run."""
+    """The rate, the horizon and the feature map (with the activation's
+    moments and nu) of a coupled run: (eta, T, fmap)."""
     d = config.data.d
     n = config.data.n
     mom = moments(config.act)
-    nu_val = nu(mom, config.data.covariance, d)
     eta = config.eta if config.eta is not None else default_learning_rate(
         config.mode, d, n, mom)
     T = config.T if config.T is not None else max(
         1, int(config.horizon_c * d * math.log(d) / eta))
-    fmap = FeatureMap(which=config.mode, moments=mom, nu=nu_val, d=d)
-    return mom, nu_val, eta, T, fmap
+    fmap = FeatureMap(which=config.mode, moments=mom, nu=mom.theta1, d=d)
+    return eta, T, fmap
 
 
 def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
@@ -168,7 +161,7 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
     at t = 0 and t = T.
     """
     d, n = config.data.d, config.data.n
-    mom, nu_val, eta, T, fmap = resolve_run(config)
+    eta, T, fmap = resolve_run(config)
     eta1, eta2 = _mode_rates(config.mode, eta)
 
     all_spec = replace(config.data, n=n + config.n_test)
@@ -201,8 +194,7 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
 
     records = run_lockstep("coupled run", {"net": net, "lin": lin}, y, eta, T,
                            record, config.record_stride)
-    return CoupledRunResult(records=records, eta=eta, T=T, final_net=net.net,
-                            final_beta=lin.beta)
+    return CoupledRunResult(records=records, eta=eta, T=T)
 
 
 @dataclass
@@ -293,7 +285,7 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
     the constant theta0; everything else (data, rate, steps) is shared, so
     any gap difference is attributable to the norm feature.
     """
-    mom, nu_val, eta, T, fmap = resolve_run(config)
+    eta, T, fmap = resolve_run(config)
     eta1, eta2 = _mode_rates(config.mode, eta)
 
     X = generate_inputs(config.data)
@@ -344,12 +336,10 @@ def spectral_decay_experiment(d_list, n: int, m: int, act: Activation,
     spec = np.empty((len(d_list), len(seeds)))
     frob = np.empty((len(d_list), len(seeds)))
     for i, d in enumerate(d_list):
-        cov = identity_covariance(d)
-        nu_val = nu(mom, cov, d)
         for k, seed in enumerate(seeds):
-            X = generate_inputs(DataSpec(cov, "gaussian", n, seed))
+            X = generate_inputs(DataSpec(identity_covariance(d), "gaussian", n, seed))
             net = symmetric_init(m, d, act, seed + _NET_SEED_SHIFT)
-            D = ntk_first_layer(net, X).values - linear_kernel(X, mom, nu_val, "lin1").values
+            D = ntk_first_layer(net, X).values - linear_kernel(X, mom, mom.theta1, "lin1").values
             spec[i, k] = spectral_norm(D)
             frob[i, k] = frobenius_norm(D)
     mean_spec = spec.mean(axis=1)

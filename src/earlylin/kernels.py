@@ -1,5 +1,5 @@
 """Tangent-kernel matrices, their closed-form infinite-width expectations,
-linear-model kernels, the infinite-width CNN kernel on the hypercube, and
+the lin1 kernel, the infinite-width CNN kernel on the hypercube, and
 spectral tooling.
 
 Builders need no symmetrizing pass: Gram products A A^T (one BLAS triangle,
@@ -36,7 +36,6 @@ from .activations import (
     phi_prime,
     run_in_blocks,
 )
-from .linmodel import norm_feature
 from .network import jacobian_second_layer, preactivations
 
 
@@ -121,27 +120,11 @@ def expected_ntk_second(X: np.ndarray, act: Activation) -> KernelMatrix:
 
 
 def linear_kernel(X: np.ndarray, mom: Moments, nu_value: float, which: str) -> KernelMatrix:
-    """Kernels of the explicit linear feature maps.
-
-    lin1     : (zeta^2 X X^T + nu^2 1 1^T) / d
-    lin2     : (zeta^2 X X^T + nu^2/2 1 1^T) / d + q q^T
-    lin-full : (2 zeta^2 X X^T + 3/2 nu^2 1 1^T) / d + q q^T
-
-    with q the norm feature of `linmodel.features`.
-    """
-    d = X.shape[1]
-    G = X @ X.T
-    z2, n2 = mom.zeta**2, nu_value**2
-    if which == "lin1":
-        K = (z2 * G + n2) / d
-    elif which in ("lin2", "lin-full"):
-        q = norm_feature(mom, X)
-        if which == "lin2":
-            K = (z2 * G + 0.5 * n2) / d + np.outer(q, q)
-        else:
-            K = (2.0 * z2 * G + 1.5 * n2) / d + np.outer(q, q)
-    else:
-        raise ValueError(f"which must be lin1, lin2 or lin-full, got {which!r}")
+    """The lin1 kernel (zeta^2 X X^T + nu^2 1 1^T) / d, the Gram matrix of the
+    `first` feature map of `linmodel.features`. `which` must be "lin1"."""
+    if which != "lin1":
+        raise ValueError(f"which must be lin1, got {which!r}")
+    K = (mom.zeta**2 * (X @ X.T) + nu_value**2) / X.shape[1]
     return KernelMatrix(values=K)
 
 

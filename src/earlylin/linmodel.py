@@ -5,8 +5,8 @@ Three feature maps, one per training mode:
   second : psi2(x) = [zeta x/sqrt(d); nu/sqrt(2d); q(x)]       (dim d+2)
   both   : psi(x)  = [sqrt(2/d) zeta x; sqrt(3/(2d)) nu; q(x)] (dim d+2)
 where q(x) = theta0 + theta1 (||x||/sqrt(d)-1) + theta2 (||x||/sqrt(d)-1)^2
-is the norm feature. The Gram matrix of each map equals the corresponding
-linear kernel, and <psi, psi'> = <psi1, psi1'> + <psi2, psi2'>.
+is the norm feature. The Gram matrix of psi1 is the lin1 kernel of
+`kernels.linear_kernel`, and <psi, psi'> = <psi1, psi1'> + <psi2, psi2'>.
 """
 
 from __future__ import annotations
@@ -32,15 +32,11 @@ class FeatureMap:
         if self.which not in MODES:
             raise ValueError(f"which must be one of {MODES}, got {self.which!r}")
 
-    @property
-    def out_dim(self) -> int:
-        return self.d + 1 if self.which == "first" else self.d + 2
-
 
 def naive_map(fmap: FeatureMap) -> FeatureMap:
     """Ablation that freezes the norm feature to the constant theta0
     (theta1 = theta2 = 0); nu is left untouched."""
-    mom = replace(fmap.moments, g_phi_prime=0.0, theta2=0.0)
+    mom = replace(fmap.moments, theta1=0.0, theta2=0.0)
     return replace(fmap, moments=mom)
 
 
@@ -51,12 +47,10 @@ def norm_feature(mom: Moments, X: np.ndarray) -> np.ndarray:
 
 
 def features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
-    """Feature matrix Psi, shape (n, out_dim); accepts a single x as a 1-D array."""
+    """Feature matrix Psi of the rows of X (n x d): n x (d+1) for `first`,
+    n x (d+2) otherwise."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != fmap.d:
+    if X.ndim != 2 or X.shape[1] != fmap.d:
         raise ValueError(f"X has shape {X.shape}, expected (n, {fmap.d})")
     n = X.shape[0]
     mom, nu_val, d = fmap.moments, fmap.nu, fmap.d
@@ -74,7 +68,7 @@ def features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         Psi[:, :d] = (math.sqrt(2.0 / d) * mom.zeta) * X
         Psi[:, d] = math.sqrt(3.0 / (2.0 * d)) * nu_val
         Psi[:, d + 1] = norm_feature(mom, X)
-    return Psi[0] if single else Psi
+    return Psi
 
 
 class LinearTrainable:

@@ -292,12 +292,12 @@ def test_the_pool_is_created_once_under_concurrent_first_calls(monkeypatch):
 
 def test_gauss_hermite_integrates_moments_exactly():
     # order-k rule is exact for polynomials of degree 2k-1
-    q = gauss_hermite(8)
-    np.testing.assert_allclose(q.weights.sum(), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(q.weights @ q.nodes**2, 1.0, rtol=1e-13)
-    np.testing.assert_allclose(q.weights @ q.nodes**4, 3.0, rtol=1e-13)
-    np.testing.assert_allclose(q.weights @ q.nodes**6, 15.0, rtol=1e-13)
-    assert abs(q.weights @ q.nodes) < 1e-14
+    nodes, weights = gauss_hermite(8)
+    np.testing.assert_allclose(weights.sum(), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(weights @ nodes**2, 1.0, rtol=1e-13)
+    np.testing.assert_allclose(weights @ nodes**4, 3.0, rtol=1e-13)
+    np.testing.assert_allclose(weights @ nodes**6, 15.0, rtol=1e-13)
+    assert abs(weights @ nodes) < 1e-14
 
 
 @pytest.mark.parametrize("order", [0, -3, 257])
@@ -307,11 +307,12 @@ def test_gauss_hermite_order_validation(order):
 
 
 def test_gauss_hermite_rule_is_built_once_and_read_only():
-    q = gauss_hermite(64)
-    assert gauss_hermite(64) is q
-    assert not q.nodes.flags.writeable and not q.weights.flags.writeable
+    rule = gauss_hermite(64)
+    assert gauss_hermite(64) is rule
+    nodes, weights = rule
+    assert not nodes.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError):
-        q.nodes[0] = 0.0
+        nodes[0] = 0.0
     for _ in range(2):  # an invalid order raises on every call, not only the first
         with pytest.raises(ValueError):
             gauss_hermite(0)

@@ -1,9 +1,11 @@
-"""No library API that only the tests reach, beyond a short list with reasons.
+"""No library API that only the tests reach, beyond short lists with reasons.
 
 A top-level function or class of `src/earlylin/*.py` whose name appears
 nowhere else in `src/` or in `benchmark/*.py` has no caller but the tests.
-Each such name must be on the list below, with the reason it is kept;
-anything else is dead weight and goes, its oracle written out in the tests.
+So has a field, property or method of one of its classes that `src/` and
+`benchmark/*.py` never read as `.name`. Each such name must be on a list
+below, with the reason it is kept; anything else is dead weight and goes,
+its oracle written out in the tests.
 """
 
 import ast
@@ -21,6 +23,12 @@ KEPT_FOR_THE_TESTS = {
     "ntk_second_layer": "the empirical second-layer NTK: the kernel tests' oracle",
 }
 
+# "Class" keeps every member of the class, "Class.member" that member.
+MEMBERS_KEPT = {
+    "AgreementRecord": "its fields are the columns of the agreement CSV (`dataclasses.astuple`)",
+    "DecayFit.intercept": "a key of fits.json (`dataclasses.asdict`)",
+}
+
 
 def test_only_the_listed_names_have_no_caller_outside_the_tests():
     library = sorted((ROOT / "src" / "earlylin").glob("*.py"))
@@ -34,6 +42,35 @@ def test_only_the_listed_names_have_no_caller_outside_the_tests():
                 if sum(len(word.findall(text)) for text in texts) == 1:  # its definition
                     unreached.add(node.name)
     assert unreached == set(KEPT_FOR_THE_TESTS)
+
+
+def _members(cls: ast.ClassDef):
+    """The fields (annotated in the body or set on self), properties and
+    methods of a class, but not its dunder methods."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.FunctionDef):
+            if not node.name.startswith("__"):
+                yield node.name
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    yield sub.attr
+
+
+def test_only_the_listed_class_members_are_never_read_outside_the_tests():
+    library = sorted((ROOT / "src" / "earlylin").glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in library]
+    read = {node.attr
+            for path in library + sorted((ROOT / "benchmark").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{cls.name}.{name}"
+              for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              if cls.name not in MEMBERS_KEPT
+              for name in _members(cls) if name not in read}
+    assert unread == {key for key in MEMBERS_KEPT if "." in key}
 
 
 def test_no_function_imports_an_earlylin_module():

@@ -521,6 +521,10 @@ def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
     (("agreement", "--n-test=-1", "--d", "5", "--n", "50", "--m", "4"), "n_test"),
     (("cnn-ntk", "--growth=-10", "--d", "4", "--q", "2", "--n", "8"), "growth"),
     (("cnn-ntk", "--growth", "1e6", "--d", "4", "--q", "2", "--n", "8"), "growth"),
+    # an n x n float64 kernel larger than the machine's memory, at either point
+    (("cnn-ntk", "--growth", "1000", "--d", "4", "--q", "2", "--n", "8"), "growth"),
+    (("cnn-ntk", "--growth", "40", "--d", "4", "--q", "2", "--n", "8"), "growth"),
+    (("cnn-ntk", "--n", "10000000"), "n"),
 ])
 def test_out_of_range_seeds_n_test_and_growth_are_config_errors(tmp_path, capsys, args, key):
     out = tmp_path / "out"

@@ -49,8 +49,6 @@ def test_coupled_run_is_deterministic():
     a = coupled_run(config(T=6, eta=0.5))
     b = coupled_run(config(T=6, eta=0.5))
     assert a.records == b.records
-    np.testing.assert_array_equal(a.final_net.W, b.final_net.W)
-    np.testing.assert_array_equal(a.final_beta, b.final_beta)
 
 
 def test_coupled_run_starts_from_an_exact_tie():
@@ -70,19 +68,15 @@ def test_coupled_run_keeps_gap_metrics_in_range():
 
 
 def test_coupled_run_second_mode_freezes_the_first_layer():
-    cfg = config(mode="second", T=8, eta=0.5)
-    result = coupled_run(cfg)
-    fresh = symmetric_init(cfg.m, cfg.data.d, cfg.act, cfg.net_seed)
-    np.testing.assert_array_equal(result.final_net.W, fresh.W)
-    assert np.any(result.final_net.v != fresh.v)
+    records = coupled_run(config(mode="second", T=8, eta=0.5)).records
+    assert all(r.w_move_fro == 0.0 for r in records)
+    assert records[-1].v_move_l2 > 0.0
 
 
 def test_coupled_run_first_mode_freezes_the_second_layer():
-    cfg = config(mode="first", T=8, eta=0.5)
-    result = coupled_run(cfg)
-    fresh = symmetric_init(cfg.m, cfg.data.d, cfg.act, cfg.net_seed)
-    np.testing.assert_array_equal(result.final_net.v, fresh.v)
-    assert np.any(result.final_net.W != fresh.W)
+    records = coupled_run(config(mode="first", T=8, eta=0.5)).records
+    assert all(r.v_move_l2 == 0.0 for r in records)
+    assert records[-1].w_move_fro > 0.0
 
 
 def test_coupled_run_record_stride():
@@ -122,7 +116,7 @@ def test_coupled_run_computes_features_only_when_w_moves(rows_per_call, mode, pe
 def test_coupled_run_second_mode_is_regression_on_fixed_features():
     cfg = config(mode="second", T=8, eta=0.5, n_test=40)
     n, d = cfg.data.n, cfg.data.d
-    _, _, eta, T, fmap = resolve_run(cfg)
+    eta, T, fmap = resolve_run(cfg)
     X_all = generate_inputs(replace(cfg.data, n=n + cfg.n_test))
     X, X_test = X_all[:n], X_all[n:]
     y = make_labels(X, cfg.labels)
@@ -131,7 +125,7 @@ def test_coupled_run_second_mode_is_regression_on_fixed_features():
     A0 = phi(cfg.act, X @ net.W.T / math.sqrt(d))
     A0_test = phi(cfg.act, X_test @ net.W.T / math.sqrt(d))
     Psi, Psi_test = features(fmap, X), features(fmap, X_test)
-    v, beta = net.v.copy(), np.zeros(fmap.out_dim)
+    v, beta = net.v.copy(), np.zeros(Psi.shape[1])
     want = []
     for t in range(T + 1):
         u_net, u_lin = A0 @ v / sqrt_m, Psi @ beta
@@ -189,11 +183,12 @@ def test_default_learning_rates_by_mode():
 
 def test_resolve_run_fills_rate_horizon_and_map():
     cfg = config(mode="first", d=20, n=100, m=16, T=None, eta=None)
-    mom, nu_val, eta, T, fmap = resolve_run(cfg)
+    eta, T, fmap = resolve_run(cfg)
     assert eta == 2.0  # 0.1 * d
     assert T == int(0.25 * 20 * math.log(20) / 2.0)
     assert fmap.which == "first" and fmap.d == 20
-    assert nu_val == nu(mom, cfg.data.covariance, 20)
+    assert fmap.moments == moments(ERF)
+    assert fmap.nu == nu(fmap.moments, cfg.data.covariance, 20)
 
 
 # --------------------------------------------------------- dimension sweep

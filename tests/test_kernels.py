@@ -33,7 +33,7 @@ from earlylin.kernels import (
     ntk_second_layer,
     spectral_norm,
 )
-from earlylin.linmodel import norm_feature
+from earlylin.linmodel import FeatureMap, features, norm_feature
 from earlylin.network import (
     jacobian_second_layer,
     preactivations,
@@ -302,19 +302,9 @@ def test_linear_kernel_erf_on_hypercube_drops_the_norm_feature():
     nu_val = nu(mom, identity_covariance(16), 16)
     q = norm_feature(mom, X)
     assert np.max(np.abs(q)) <= 1e-10  # theta's vanish for erf (up to quadrature)
-    K2 = linear_kernel(X, mom, nu_val, "lin2").values
+    Psi = features(FeatureMap("second", mom, nu_val, 16), X)
     np.testing.assert_allclose(
-        K2, (mom.zeta**2 * (X @ X.T) + 0.5 * nu_val**2) / 16, atol=1e-15)
-
-
-def test_linear_kernel_full_is_first_plus_second():
-    X = gaussian(10, 6, seed=7)
-    mom = moments(SIGMOID)
-    nu_val = nu(mom, identity_covariance(6), 6)
-    K1 = linear_kernel(X, mom, nu_val, "lin1").values
-    K2 = linear_kernel(X, mom, nu_val, "lin2").values
-    K = linear_kernel(X, mom, nu_val, "lin-full").values
-    np.testing.assert_allclose(K, K1 + K2, atol=1e-14)
+        Psi @ Psi.T, (mom.zeta**2 * (X @ X.T) + 0.5 * nu_val**2) / 16, atol=1e-15)
 
 
 def test_linear_kernel_single_identity_point():
@@ -334,8 +324,9 @@ def test_linear_kernel_trace_identity():
 
 
 def test_linear_kernel_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="lin1, lin2 or lin-full"):
-        linear_kernel(gaussian(3, 3), moments(ERF), 0.0, "lin3")
+    for which in ("lin2", "lin-full", "lin3"):  # lin1 is the only linear kernel
+        with pytest.raises(ValueError, match="which must be lin1"):
+            linear_kernel(gaussian(3, 3), moments(ERF), 0.0, which)
 
 
 def test_q_vector_is_constant_on_the_hypercube():
@@ -607,22 +598,14 @@ def test_a_mirrored_net_evaluates_its_distinct_neurons_only(monkeypatch):
 
 
 def test_linear_kernels_equal_their_plain_expressions_exactly():
-    mom = moments(RELU)  # nu and the theta's are nonzero: both added terms count
+    mom = moments(RELU)  # nu is nonzero: the added term counts
     for layout, X in layouts(gaussian(25, 7, seed=23)):
         nu_val = nu(mom, identity_covariance(7), 7)
         ones, G = np.ones((25, 25)), X @ X.T
-        z2, n2 = mom.zeta**2, nu_val**2
-        q = norm_feature(mom, X)
-        qq = np.outer(q, q)
-        want = {
-            "lin1": (z2 * G + n2 * ones) / 7,
-            "lin2": (z2 * G + 0.5 * n2 * ones) / 7 + qq,
-            "lin-full": (2.0 * z2 * G + 1.5 * n2 * ones) / 7 + qq,
-        }
-        for which, K in want.items():
-            got = linear_kernel(X, mom, nu_val, which).values
-            assert np.array_equal(got, symmetrized(K)), (which, layout)
-            assert np.array_equal(got, got.T), (which, layout)
+        want = (mom.zeta**2 * G + nu_val**2 * ones) / 7
+        got = linear_kernel(X, mom, nu_val, "lin1").values
+        assert np.array_equal(got, symmetrized(want)), layout
+        assert np.array_equal(got, got.T), layout
 
 
 @pytest.mark.parametrize("act", [ERF, SIGMOID], ids=lambda a: a.kind)

@@ -38,12 +38,24 @@ def fmap(which, act=ERF, d=6):
     return FeatureMap(which=which, moments=mom, nu=nu(mom, identity_covariance(d), d), d=d)
 
 
+def plain_kernel(fm, X):
+    """The Gram matrix of fm's features, written out: the lin1 kernel for
+    `first`, lin2 for `second` and lin-full = lin1 + lin2 for `both`."""
+    z2, n2, d = fm.moments.zeta**2, fm.nu**2, fm.d
+    G, ones = X @ X.T, np.ones((len(X), len(X)))
+    q = norm_feature(fm.moments, X)
+    return {"first": (z2 * G + n2 * ones) / d,
+            "second": (z2 * G + 0.5 * n2 * ones) / d + np.outer(q, q),
+            "both": (2.0 * z2 * G + 1.5 * n2 * ones) / d + np.outer(q, q)}[fm.which]
+
+
 # ----------------------------------------------------------------- features
 
 def test_feature_dimensions_per_mode():
-    assert fmap("first").out_dim == 7
-    assert fmap("second").out_dim == 8
-    assert fmap("both").out_dim == 8
+    X = gaussian(3, 6)
+    assert features(fmap("first"), X).shape == (3, 7)
+    assert features(fmap("second"), X).shape == (3, 8)
+    assert features(fmap("both"), X).shape == (3, 8)
     with pytest.raises(ValueError, match="which"):
         fmap("third")
 
@@ -51,7 +63,7 @@ def test_feature_dimensions_per_mode():
 def test_first_map_formula():
     fm = fmap("first", act=SIGMOID, d=4)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    psi = features(fm, x)
+    psi = features(fm, x[None, :])[0]
     np.testing.assert_allclose(psi[:4], fm.moments.zeta * x / 2.0, rtol=1e-15)
     assert psi[4] == fm.nu / 2.0
 
@@ -60,17 +72,14 @@ def test_combined_map_inner_products_split_by_layer():
     d = 9
     f1, f2, f = fmap("first", TANH, d), fmap("second", TANH, d), fmap("both", TANH, d)
     X = gaussian(12, d, seed=1)
-    for i in range(3):
-        for j in range(3):
-            got = features(f, X[i]) @ features(f, X[j])
-            want = features(f1, X[i]) @ features(f1, X[j]) + features(f2, X[i]) @ features(f2, X[j])
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+    P, P1, P2 = features(f, X), features(f1, X), features(f2, X)
+    np.testing.assert_allclose(P @ P.T, P1 @ P1.T + P2 @ P2.T, rtol=1e-13)
 
 
 def test_erf_norm_feature_vanishes_at_reference_radius():
     fm = fmap("second", ERF, d=16)
-    x = generate_hypercube(1, 16, seed=2)[0]  # ||x|| = sqrt(d)
-    assert abs(features(fm, x)[-1]) <= 1e-10
+    x = generate_hypercube(1, 16, seed=2)  # ||x|| = sqrt(d)
+    assert abs(features(fm, x)[0, -1]) <= 1e-10
 
 
 @pytest.mark.parametrize("which,kernel", [("first", "lin1"), ("second", "lin2"),
@@ -80,36 +89,33 @@ def test_feature_gram_equals_the_linear_kernel(which, kernel):
     fm = fmap(which, SIGMOID, d)
     X = gaussian(15, d, seed=3)
     Psi = features(fm, X)
-    K = linear_kernel(X, fm.moments, fm.nu, kernel).values
-    np.testing.assert_allclose(Psi @ Psi.T, K, atol=1e-12)
+    np.testing.assert_allclose(Psi @ Psi.T, plain_kernel(fm, X), atol=1e-12)
+    if kernel == "lin1":  # the one variant the library builds
+        K = linear_kernel(X, fm.moments, fm.nu, kernel).values
+        np.testing.assert_allclose(Psi @ Psi.T, K, atol=1e-12)
 
 
 KINDS = [ERF, TANH, SIGMOID, SOFTPLUS, RELU, IDENTITY, leaky_relu(0.2)]
-MODE_KERNELS = {"first": "lin1", "second": "lin2", "both": "lin-full"}
+MODES = ["first", "second", "both"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(act=st.sampled_from(KINDS), which=st.sampled_from(list(MODE_KERNELS)),
+@given(act=st.sampled_from(KINDS), which=st.sampled_from(MODES),
        n=st.integers(1, 30), d=st.integers(1, 12), scale=st.floats(0.1, 3.0),
        seed=st.integers(0, 2**32 - 1))
 def test_feature_gram_is_the_linear_kernel_in_every_mode(act, which, n, d, scale, seed):
-    # linear_kernel and features share the one norm feature q(x)
     fm = fmap(which, act, d)
     X = scale * np.random.default_rng(seed).standard_normal((n, d))
     Psi = features(fm, X)
-    K = linear_kernel(X, fm.moments, fm.nu, MODE_KERNELS[which]).values
+    K = plain_kernel(fm, X)
     np.testing.assert_allclose(Psi @ Psi.T, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
-
-
-def test_features_single_vector_matches_batch_row():
-    fm = fmap("both", TANH, d=5)
-    X = gaussian(4, 5, seed=4)
-    np.testing.assert_array_equal(features(fm, X[2]), features(fm, X)[2])
 
 
 def test_features_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="expected"):
         features(fmap("first", d=5), gaussian(3, 4))
+    with pytest.raises(ValueError, match="expected"):  # a single x is not a batch
+        features(fmap("first", d=5), gaussian(3, 5)[0])
 
 
 def test_naive_map_freezes_the_norm_feature():
@@ -155,7 +161,7 @@ def test_lin_gd_zero_steps_and_zero_labels():
     np.testing.assert_array_equal(records[0]["u"], np.zeros(24))
     zeros = Dataset(X=ds.X, y=np.zeros(24))
     _, model = lin_gd_train(fm, zeros, eta=0.5, T=10)
-    np.testing.assert_array_equal(model.beta, np.zeros(fm.out_dim))
+    np.testing.assert_array_equal(model.beta, np.zeros(8))
 
 
 def test_lin_gd_requires_positive_eta_and_detects_divergence():
@@ -176,15 +182,15 @@ def test_lin_gd_recorder_stream():
 
 
 @settings(max_examples=40, deadline=None)
-@given(act=st.sampled_from(KINDS), which=st.sampled_from(list(MODE_KERNELS)),
+@given(act=st.sampled_from(KINDS), which=st.sampled_from(MODES),
        n=st.integers(2, 40), d=st.integers(1, 8), step=st.floats(0.05, 0.95),
        T=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
 def test_driver_linear_predictions_follow_the_closed_form(act, which, n, d, step, T, seed):
     rng = np.random.default_rng(seed)
     fm = fmap(which, act, d)
     ds = Dataset(X=rng.standard_normal((n, d)), y=rng.standard_normal(n))
-    K = linear_kernel(ds.X, fm.moments, fm.nu, MODE_KERNELS[which])
-    eta = step * n / max(float(np.linalg.eigvalsh(K.values)[-1]), 1e-300)
+    K = plain_kernel(fm, ds.X)
+    eta = step * n / max(float(np.linalg.eigvalsh(K)[-1]), 1e-300)
     records, _ = lin_gd_train(fm, ds, eta=eta, T=T)
     closed = closed_form_trajectory(K, ds.y, eta, range(T + 1))
     got = np.array([r["u"] for r in records])
@@ -195,8 +201,7 @@ def test_driver_linear_predictions_follow_the_closed_form(act, which, n, d, step
 def test_iterative_training_matches_the_closed_form(which):
     fm = fmap(which, TANH, d=6)
     ds = dataset(n=32, d=6, seed=7)
-    K = linear_kernel(ds.X, fm.moments, fm.nu, {"first": "lin1", "second": "lin2",
-                                                "both": "lin-full"}[which])
+    K = plain_kernel(fm, ds.X)
     records, _ = lin_gd_train(fm, ds, eta=0.7, T=120)
     closed = closed_form_trajectory(K, ds.y, 0.7, range(121))
     assert np.max(np.abs(np.array([r["u"] for r in records]) - closed)) <= 1e-8
@@ -207,7 +212,7 @@ def test_beta_norm_is_nondecreasing_on_consistent_problems():
         rng = np.random.default_rng(seed)
         fm = fmap("both", SIGMOID, d=5)
         X = gaussian(30, 5, seed=seed)
-        beta_star = rng.standard_normal(fm.out_dim)
+        beta_star = rng.standard_normal(7)  # d + 2
         ds = Dataset(X=X, y=features(fm, X) @ beta_star)  # consistent labels
         Psi = features(fm, X)
         eta = 0.8 * 30 / np.linalg.eigvalsh(Psi.T @ Psi).max()

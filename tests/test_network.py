@@ -363,7 +363,7 @@ def test_horizon_rule():
     def horizon(d, eta, c=0.25):
         return resolve_run(CoupledRunConfig(
             mode="first", data=DataSpec(identity_covariance(d), "gaussian", 8, 0),
-            m=2, eta=eta, horizon_c=c))[3]
+            m=2, eta=eta, horizon_c=c))[1]
 
     assert horizon(64, 1.0) == int(0.25 * 64 * math.log(64))
     assert horizon(2, 100.0) == 1  # floor is 1
