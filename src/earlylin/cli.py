@@ -126,6 +126,8 @@ _KEY_TYPES = ({key: float for defaults in DEFAULTS.values() for key in defaults}
 _INT_MINIMUM = {"n": 1, "d": 1, "m": 1, "q": 1, "seeds": 1, "record_stride": 1,
                 "teacher_width": 1, "T": 0, "seed": 0, "a_seed": 0, "n_test": 0}
 _CHOICE_KEYS = {"act": KINDS, "mode": MODES, "labels": LABEL_KINDS, "base": BASES}
+# Subcommands that build n x n float64 matrices of the `n` key's rows.
+_SQUARE_SUBCOMMANDS = ("cnn-ntk", "concentration", "spectral-decay")
 _NULLABLE = {key for defaults in DEFAULTS.values()
              for key, value in defaults.items() if value is None}
 
@@ -228,21 +230,23 @@ def _semantic_errors(subcommand: str, cfg: dict):
         yield "order", f"must be in [1, {MAX_ORDER}], got {cfg['order']}"
     if subcommand == "cnn-ntk" and cfg["q"] > cfg["d"]:
         yield "q", f"filter size q={cfg['q']} exceeds d={cfg['d']}"
+    # rows of the n x n float64 matrices built, by the key that sets them
+    square = {"n": cfg["n"]} if subcommand in _SQUARE_SUBCOMMANDS else {}
     if subcommand == "cnn-ntk" and cfg["n"] >= 1:
         try:
-            rows = cnn_second_point_rows(cfg["n"], cfg["growth"])
+            square["growth"] = cnn_second_point_rows(cfg["n"], cfg["growth"])
         except OverflowError:
-            rows = None
-        if rows is None or rows < 1:
+            square["growth"] = 0
+        if square["growth"] < 1:
             yield "growth", ("the second point's rows, n * 2^growth, must round to "
                              f"an integer >= 1; got {cfg['growth']} with n={cfg['n']}")
-        else:  # each point builds n x n float64 kernels: one must fit in memory
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if 8 * max(cfg["n"], rows) ** 2 > memory:
-                yield "n" if 8 * cfg["n"] ** 2 > memory else "growth", (
-                    f"an n x n float64 kernel (8 n^2 bytes) must fit in the "
-                    f"{memory / 2**30:.1f} GiB of memory; got n={cfg['n']} and "
-                    f"n * 2^growth = {rows:.4g}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    too_big = [key for key, rows in square.items() if 8 * rows ** 2 > memory]
+    if too_big:
+        key = too_big[0]
+        got = f"n={cfg['n']}" if key == "n" else f"n * 2^growth = {square[key]:.4g}"
+        yield key, (f"an n x n float64 matrix (8 n^2 bytes) must fit in the "
+                    f"{memory / 2**30:.1f} GiB of memory; got {got}")
     if subcommand == "decompose":
         for key in ("residual_csv", "xtest_csv"):
             if cfg[key] is None:

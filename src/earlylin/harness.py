@@ -29,7 +29,8 @@ from .kernels import (
     spectral_norm,
 )
 from .linmodel import MODES, FeatureMap, LinearTrainable, features, naive_map
-from .network import NetTrainable, random_init, run_lockstep, symmetric_init
+from .network import (NetTrainable, forward, jacobian_second_layer, mirrored_half,
+                      random_init, run_lockstep, symmetric_init)
 
 DEFAULT_HORIZON_C = 0.25
 DEFAULT_TEST_SIZE = 2000
@@ -138,6 +139,22 @@ def _mode_rates(mode: str, eta: float) -> tuple[float, float]:
     return eta, eta
 
 
+def _frozen_first_layer_net(init, X: np.ndarray, eta2: float):
+    """The mirrored net `init` trained on v alone, as the linear model it is:
+    (the half net, LinearTrainable(J2_half, eta2)), J2_half its second-layer
+    Jacobian on X.
+
+    symmetric_init has W[h:] = W[:h] and v[h:] = -v[:h]. With W frozen both
+    halves of v get the same gradient, so u = J2_half beta with
+    beta = (v[:h] + v[h:]) / sqrt(2): beta starts at exactly 0, moves at rate
+    eta2, and ||v - v0|| = ||beta||. J2_half J2_half^T is the second-layer
+    NTK of init. The fold is wrong for any other net: `mirrored_half` gives
+    None for one.
+    """
+    half = mirrored_half(init)
+    return half, LinearTrainable(jacobian_second_layer(half, X), eta2)
+
+
 def resolve_run(config: CoupledRunConfig):
     """The rate, the horizon and the feature map (with the activation's
     moments and nu) of a coupled run: (eta, T, fmap)."""
@@ -170,25 +187,35 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
     y = make_labels(X, config.labels)
 
     init = symmetric_init(config.m, d, config.act, config.net_seed)
-    net = NetTrainable(init, X, eta1, eta2, X_test)
+    folded = eta1 == 0.0
+    if folded:
+        half, net = _frozen_first_layer_net(init, X, eta2)
+        J2_test = jacobian_second_layer(half, X_test) if config.n_test > 0 else None
+    else:
+        net = NetTrainable(init, X, eta1, eta2)
     lin = LinearTrainable(features(fmap, X), eta)
     Psi_test = features(fmap, X_test)
 
     def record(t, u, mse):
         if config.n_test > 0:
-            f_net_test = net.test_outputs()
+            f_net_test = J2_test @ net.beta if folded else forward(net.net, X_test)
             f_lin_test = Psi_test @ lin.beta
             test_gap = float(np.mean(np.minimum((f_net_test - f_lin_test) ** 2, 1.0)))
         else:
             test_gap = 0.0
+        if folded:  # W is frozen and ||v - v0|| = ||beta||
+            w_move, v_move = 0.0, float(np.linalg.norm(net.beta))
+        else:
+            w_move = float(np.linalg.norm(net.net.W - init.W))
+            v_move = float(np.linalg.norm(net.net.v - init.v))
         return AgreementRecord(
             step=t,
             train_mse_net=mse["net"],
             train_mse_lin=mse["lin"],
             train_gap=float(np.mean((u["net"] - u["lin"]) ** 2)),
             test_gap_clipped=test_gap,
-            w_move_fro=float(np.linalg.norm(net.net.W - init.W)),
-            v_move_l2=float(np.linalg.norm(net.net.v - init.v)),
+            w_move_fro=w_move,
+            v_move_l2=v_move,
             beta_norm=float(np.linalg.norm(lin.beta)),
         )
 
@@ -292,7 +319,8 @@ def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult
     y = make_labels(X, config.labels)
     init = symmetric_init(config.m, config.data.d, config.act, config.net_seed)
     models = {
-        "net": NetTrainable(init, X, eta1, eta2),
+        "net": (_frozen_first_layer_net(init, X, eta2)[1] if eta1 == 0.0
+                else NetTrainable(init, X, eta1, eta2)),
         "full": LinearTrainable(features(fmap, X), eta),
         "naive": LinearTrainable(features(naive_map(fmap), X), eta),
     }

@@ -25,7 +25,7 @@ the arc-cosine kernels for relu, leaky-relu and identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .activations import (
     phi_prime,
     run_in_blocks,
 )
-from .network import jacobian_second_layer, preactivations
+from .network import jacobian_second_layer, mirrored_half, preactivations
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,6 @@ class DecayFit:
     r_squared: float
 
 
-def _distinct_neurons(net, signs: bool = True):
-    """The first half of a mirrored net, else the net itself.
-
-    A net is mirrored when m is even, W[:m/2] equals W[m/2:] exactly and, if
-    `signs`, |v[:m/2]| equals |v[m/2:]|, as `symmetric_init` builds it. Its
-    kernel (1/m) sum over m neurons then equals the half net's (1/h) sum over
-    h = m/2. The check is by value: a trained or `random_init` net takes the
-    general path.
-    """
-    h = net.m // 2
-    if (net.m % 2 == 0 and np.array_equal(net.W[:h], net.W[h:])
-            and (not signs or np.array_equal(np.abs(net.v[:h]), np.abs(net.v[h:])))):
-        return replace(net, W=net.W[:h], v=net.v[:h])
-    return net
-
-
 def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
     """(1/m) sum_r v_r^2 phi'(X w_r/sqrt(d)) phi'(X w_r/sqrt(d))^T  (.)  X X^T/d.
 
@@ -74,7 +58,7 @@ def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
     (1/h) G_h G_h^T (.) X X^T/d: half the preactivations, phi' and Gram
     product, equal to the full sum up to the order of its additions.
     """
-    net = _distinct_neurons(net)
+    net = mirrored_half(net) or net
     G = phi_prime(net.act, preactivations(net, X))
     G *= net.v
     K = G @ G.T
@@ -89,7 +73,7 @@ def ntk_first_layer(net, X: np.ndarray) -> KernelMatrix:
 def ntk_second_layer(net, X: np.ndarray) -> KernelMatrix:
     """(1/m) phi(X W^T/sqrt(d)) phi(X W^T/sqrt(d))^T, from the h = m/2
     distinct neurons when the halves of W are equal (v plays no part)."""
-    J2 = jacobian_second_layer(_distinct_neurons(net, signs=False), X)
+    J2 = jacobian_second_layer(mirrored_half(net, signs=False) or net, X)
     return KernelMatrix(values=J2 @ J2.T)
 
 

@@ -3,10 +3,10 @@
 The fully-connected model is f(x; W, v) = (1/sqrt(m)) v . phi(W x / sqrt(d))
 with W of shape (m, d) and v of +-1 entries at init. Symmetric initialization
 mirrors the first half of the neurons with negated output signs so the
-initial function is identically zero without changing the tangent kernel.
-The first-layer Jacobian (n x m*d entries) is never formed: it enters only
-through the gradient contractions and the tangent kernels; the second-layer
-Jacobian is small enough to materialize.
+initial function is identically zero without changing the tangent kernel
+(`mirrored_half` tests for that layout). The first-layer Jacobian (n x m*d
+entries) is never formed. The second-layer one is: with the first layer
+frozen the net is a linear model on it, and `harness` trains it as one.
 """
 
 from __future__ import annotations
@@ -123,6 +123,16 @@ def symmetric_init(m: int, d: int, act: Activation, seed: int) -> TwoLayerNet:
     )
 
 
+def mirrored_half(net: TwoLayerNet, signs: bool = True) -> TwoLayerNet | None:
+    """The first m/2 neurons of a net laid out exactly as `symmetric_init` builds
+    it, W[m/2:] = W[:m/2] and (if `signs`) v[m/2:] = -v[:m/2]; else None."""
+    h = net.m // 2
+    if (net.m % 2 == 0 and np.array_equal(net.W[:h], net.W[h:])
+            and (not signs or np.array_equal(net.v[h:], -net.v[:h]))):
+        return TwoLayerNet(W=net.W[:h], v=net.v[:h], act=net.act)
+    return None
+
+
 def random_init(m: int, d: int, act: Activation, seed: int) -> TwoLayerNet:
     """Plain iid init (W ~ N(0,1), v ~ Unif{+-1}); used for teacher networks."""
     rng = np.random.default_rng((seed, _RANDOM_DOMAIN))
@@ -167,52 +177,41 @@ def loss_gradients(net: TwoLayerNet, X: np.ndarray, y: np.ndarray):
 
 class NetTrainable:
     """The network as a model of `run_lockstep`: full-batch GD on W at rate
-    eta1 and on v at rate eta2 (a rate of 0 freezes its layer).
+    eta1 > 0 and on v at rate eta2 >= 0 (0 freezes v). With W frozen the net
+    is a linear model on its second-layer Jacobian: `harness` trains it so.
 
-    Z = X W^T / sqrt(d) and A = phi(Z) depend on W only, so they are
-    recomputed only right after W moves. The test-set features are computed
-    on first use and dropped when W moves, before phi' is computed, so stale
-    ones never take memory during a step; the new Z and A reuse the memory of
-    phi' and the stale ones, not fresh pages. v moves before W, and the W
-    gradient uses the pre-step v.
+    Z = X W^T / sqrt(d) and A = phi(Z) are recomputed right after W moves,
+    in the memory of phi' and the stale Z and A, not fresh pages. v moves
+    before W, and the W gradient uses the pre-step v.
     """
 
-    def __init__(self, net: TwoLayerNet, X: np.ndarray, eta1: float, eta2: float,
-                 X_test: np.ndarray | None = None):
-        if eta1 < 0 or eta2 < 0 or eta1 == eta2 == 0.0:
-            raise ValueError("a training run needs a positive learning rate and "
-                             f"no negative one, got eta1={eta1}, eta2={eta2}")
+    def __init__(self, net: TwoLayerNet, X: np.ndarray, eta1: float, eta2: float):
+        if eta1 <= 0 or eta2 < 0:
+            raise ValueError("the net model needs a positive first-layer learning rate "
+                             f"and no negative one, got eta1={eta1}, eta2={eta2}")
         self.net = net.copy()
-        self.X, self.X_test, self.eta1, self.eta2 = X, X_test, eta1, eta2
+        self.X, self.eta1, self.eta2 = X, eta1, eta2
         self._sqrt_m = math.sqrt(net.m)
         self._sqrt_md = math.sqrt(net.m * net.d)
         self._Z = preactivations(self.net, X)
         self._A = phi(net.act, self._Z)
-        self._A_test = None
 
     def outputs(self) -> np.ndarray:
         return self._A @ self.net.v / self._sqrt_m
-
-    def test_outputs(self) -> np.ndarray:
-        if self._A_test is None:
-            self._A_test = phi(self.net.act, preactivations(self.net, self.X_test))
-        return self._A_test @ self.net.v / self._sqrt_m
 
     def step(self, r: np.ndarray) -> None:
         net, X, v = self.net, self.X, self.net.v
         n = X.shape[0]
         if self.eta2 != 0.0:
             net.v = v - (self.eta2 / (n * self._sqrt_m)) * (self._A.T @ r)
-        if self.eta1 != 0.0:
-            self._A_test = None
-            G = phi_prime(net.act, self._Z)
-            G *= r[:, None]
-            # (X^T G)^T: G^T X in the operand order BLAS runs faster; at some
-            # shapes it differs from G.T @ X in the last bit
-            net.W = net.W - (self.eta1 / (n * self._sqrt_md)) * (v[:, None] * (X.T @ G).T)
-            G = self._Z = self._A = None  # free their memory for the new Z and A
-            self._Z = preactivations(net, X)
-            self._A = phi(net.act, self._Z)
+        G = phi_prime(net.act, self._Z)
+        G *= r[:, None]
+        # (X^T G)^T: G^T X in the operand order BLAS runs faster; at some
+        # shapes it differs from G.T @ X in the last bit
+        net.W = net.W - (self.eta1 / (n * self._sqrt_md)) * (v[:, None] * (X.T @ G).T)
+        G = self._Z = self._A = None  # free their memory for the new Z and A
+        self._Z = preactivations(net, X)
+        self._A = phi(net.act, self._Z)
 
 
 def run_lockstep(what: str, models: dict, y: np.ndarray, eta: float, T: int,

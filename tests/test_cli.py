@@ -341,6 +341,27 @@ def test_divergence_keeps_the_rows_recorded_before_the_failing_step(
             == (stopped / records_csv).read_bytes())
 
 
+@pytest.mark.parametrize("subcommand, records_csv, models", [
+    ("agreement", "agreement_seed1.csv", ["net", "lin"]),
+    ("norm-ablation", "ablation.csv", ["net", "full", "naive"]),
+])
+def test_a_frozen_first_layer_diverges_under_the_same_contract(tmp_path, subcommand,
+                                                               records_csv, models):
+    # the folded net (trained as a linear model) is still named "net" in the
+    # failure record, which keeps its keys, and the rows before the failing
+    # step are kept
+    args = [subcommand, "--mode", "second", "--eta", "1e6", "--d", "10", "--n", "200",
+            "--m", "16", "--T", "50"]
+    out = tmp_path / "diverged"
+    assert run(args + ["--out", str(out)]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert sorted(failure) == ["T", "eta", "mses", "step", "subcommand"]
+    assert sorted(failure["mses"]) == sorted(models) and failure["step"] >= 1
+    assert failure["subcommand"] == subcommand and failure["eta"] == 1e6
+    rows = list(csv.DictReader((out / records_csv).open()))
+    assert [int(r["step"]) for r in rows] == list(range(failure["step"]))
+
+
 def test_a_later_successful_run_clears_the_failure_record(tmp_path):
     out = tmp_path / "out"
     args = ["agreement", "--T", "4", "--d", "10", "--n", "200", "--m", "16",
@@ -532,6 +553,37 @@ def test_out_of_range_seeds_n_test_and_growth_are_config_errors(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: /{key}: "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, args, fits", [
+    ("concentration", ["--d", "1"], {"n": 362}),  # 1.0 MiB
+    ("spectral-decay", [], {"n": 362}),
+    ("cnn-ntk", ["--d", "4", "--q", "2"], {"n": 362, "growth": 0.0}),
+])
+def test_an_n_by_n_matrix_larger_than_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               subcommand, args, fits):
+    # with the machine's memory read as 1 MiB, n = 400 (a 1.2 MiB matrix) is
+    # refused by validation: a run that got past it would allocate little
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: (
+        2**20 // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES" else sysconf(name)))
+    out = tmp_path / "out"
+    assert run([subcommand, *args, "--n", "400", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: /n: an n x n float64 "), err
+    assert not out.exists()
+    validate_config(subcommand, fits)
+
+
+@pytest.mark.parametrize("subcommand", ["concentration", "spectral-decay"])
+def test_an_n_past_the_machines_memory_is_refused_by_validation_alone(subcommand):
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = math.isqrt(memory // 8) + 1  # 8 n^2 bytes just past the memory
+    with pytest.raises(ConfigError) as err:
+        validate_config(subcommand, {"n": n, "d": 1} if subcommand == "concentration"
+                        else {"n": n})
+    assert [e.split(":")[0] for e in err.value.errors] == ["/n"]
+    validate_config(subcommand, {"n": 2000})
 
 
 SMALL = {  # sizes at which every subcommand runs in well under a second

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from earlylin import network
-from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, moments, nu, phi, phi_prime
+from earlylin import harness, network
+from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, TANH, moments, nu, phi, phi_prime
 from earlylin.datagen import DataSpec, identity_covariance, generate_inputs
 from earlylin.harness import (
-    AgreementRecord,
     CoupledRunConfig,
     LabelSpec,
     cnn_deviation_experiment,
@@ -22,8 +21,8 @@ from earlylin.harness import (
     shift_seeds,
     spectral_decay_experiment,
 )
-from earlylin.kernels import linear_kernel, ntk_first_layer, spectral_norm
-from earlylin.linmodel import features
+from earlylin.kernels import linear_kernel, ntk_first_layer, ntk_second_layer, spectral_norm
+from earlylin.linmodel import closed_form_trajectory, features
 from earlylin.network import (
     DivergenceError,
     NetTrainable,
@@ -113,36 +112,71 @@ def test_coupled_run_computes_features_only_when_w_moves(rows_per_call, mode, pe
         assert len(rows) == 2 * want
 
 
-def test_coupled_run_second_mode_is_regression_on_fixed_features():
-    cfg = config(mode="second", T=8, eta=0.5, n_test=40)
-    n, d = cfg.data.n, cfg.data.d
-    eta, T, fmap = resolve_run(cfg)
-    X_all = generate_inputs(replace(cfg.data, n=n + cfg.n_test))
-    X, X_test = X_all[:n], X_all[n:]
-    y = make_labels(X, cfg.labels)
-    net = symmetric_init(cfg.m, d, cfg.act, cfg.net_seed)
-    sqrt_m = math.sqrt(cfg.m)
-    A0 = phi(cfg.act, X @ net.W.T / math.sqrt(d))
-    A0_test = phi(cfg.act, X_test @ net.W.T / math.sqrt(d))
-    Psi, Psi_test = features(fmap, X), features(fmap, X_test)
-    v, beta = net.v.copy(), np.zeros(Psi.shape[1])
-    want = []
+def frozen_first_layer_oracle(init, X, y, eta, T):
+    """The full-width net trained with W frozen, written out: its outputs and
+    ||v - v0|| at each step 0..T, and its v at step T."""
+    n, d = X.shape
+    F = phi(init.act, X @ init.W.T / math.sqrt(d)) / math.sqrt(init.m)
+    v, outputs, moves = init.v.copy(), [], []
     for t in range(T + 1):
-        u_net, u_lin = A0 @ v / sqrt_m, Psi @ beta
-        test_diff = A0_test @ v / sqrt_m - Psi_test @ beta
-        want.append(AgreementRecord(
-            step=t,
-            train_mse_net=float(np.mean((u_net - y) ** 2)),
-            train_mse_lin=float(np.mean((u_lin - y) ** 2)),
-            train_gap=float(np.mean((u_net - u_lin) ** 2)),
-            test_gap_clipped=float(np.mean(np.minimum(test_diff ** 2, 1.0))),
-            w_move_fro=0.0,
-            v_move_l2=float(np.linalg.norm(v - net.v)),
-            beta_norm=float(np.linalg.norm(beta)),
-        ))
-        v = v - (eta / (n * sqrt_m)) * (A0.T @ (u_net - y))
-        beta = beta - (eta / n) * (Psi.T @ (u_lin - y))
-    assert coupled_run(cfg).records == want
+        u = F @ v
+        outputs.append(u)
+        moves.append(np.linalg.norm(v - init.v))
+        if t < T:
+            v = v - (eta / n) * (F.T @ (u - y))
+    return np.array(outputs), np.array(moves), v
+
+
+def net_outputs(monkeypatch):
+    """Spy on the harness's GD driver: the list it fills holds the net's
+    training-set outputs at every step, as the driver hands them to `record`."""
+    seen = []
+
+    def lockstep(what, models, y, eta, T, record, stride=1):
+        def spy(t, u, mse):
+            seen.append(u["net"].copy())
+            return record(t, u, mse)
+        return run_lockstep(what, models, y, eta, T, spy, stride)
+
+    monkeypatch.setattr(harness, "run_lockstep", lockstep)
+    return seen
+
+
+@pytest.mark.parametrize("act", [RELU, ERF, TANH], ids=lambda a: a.kind)
+@pytest.mark.parametrize("experiment", [coupled_run, norm_feature_ablation_experiment],
+                         ids=["coupled", "ablation"])
+def test_a_frozen_first_layer_trains_as_the_linear_model_it_is(monkeypatch, act, experiment):
+    n, d, m, n_test, eta, T = 37, 5, 6, 11, 0.9, 25
+    cfg = config(mode="second", d=d, n=n, m=m, act=act, T=T, eta=eta, n_test=n_test)
+    X_all = generate_inputs(replace(cfg.data, n=n + n_test))
+    X, X_test = X_all[:n], X_all[n:]  # the training rows do not depend on n_test
+    y = make_labels(X, cfg.labels)
+    init = symmetric_init(m, d, act, cfg.net_seed)
+    want, want_moves, v = frozen_first_layer_oracle(init, X, y, eta, T)
+    seen = net_outputs(monkeypatch)
+    result = experiment(cfg)
+    got = np.array(seen)
+    assert got.shape == want.shape == (T + 1, n)
+    assert np.all(got[0] == 0.0)  # beta starts at exactly 0
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    closed = closed_form_trajectory(ntk_second_layer(init, X), y, eta, range(T + 1))
+    assert np.abs(got - closed).max() <= 1e-10 * scale
+    if experiment is coupled_run:
+        records = result.records
+        assert [r.w_move_fro for r in records] == [0.0] * (T + 1)
+        np.testing.assert_allclose([r.v_move_l2 for r in records], want_moves,
+                                   rtol=1e-12, atol=0)
+        # the last record's test gap, from the oracle's final v and the
+        # linear model's final beta (the linear model is not folded)
+        fmap = resolve_run(cfg)[2]
+        Psi, Psi_test = features(fmap, X), features(fmap, X_test)
+        beta = np.zeros(Psi.shape[1])
+        for _ in range(T):
+            beta = beta - (eta / n) * (Psi.T @ (Psi @ beta - y))
+        A_test = phi(act, X_test @ init.W.T / math.sqrt(d)) / math.sqrt(m)
+        gap = float(np.mean(np.minimum((A_test @ v - Psi_test @ beta) ** 2, 1.0)))
+        assert records[-1].test_gap_clipped == pytest.approx(gap, rel=1e-10)
 
 
 def test_coupled_run_rejects_bad_configs():
