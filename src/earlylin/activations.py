@@ -224,17 +224,25 @@ def _evaluate(into, z) -> np.ndarray:
     return out
 
 
+def phi_into(act: Activation) -> Callable:
+    """The kernel (z, out) -> None that writes phi(z) into out."""
+    return _PHI_INTO.get(act.kind) or _piecewise_linear_into(act.negative_slope)
+
+
+def phi_prime_into(act: Activation) -> Callable:
+    """The kernel (z, out) -> None that writes phi'(z) into out."""
+    return (_PHI_PRIME_INTO.get(act.kind)
+            or _piecewise_linear_prime_into(act.negative_slope))
+
+
 def phi(act: Activation, z):
     """Evaluate the activation elementwise."""
-    into = _PHI_INTO.get(act.kind) or _piecewise_linear_into(act.negative_slope)
-    return _evaluate(into, z)
+    return _evaluate(phi_into(act), z)
 
 
 def phi_prime(act: Activation, z):
     """Evaluate phi' elementwise; phi'(0) = 1 for the piecewise-linear kinds."""
-    into = (_PHI_PRIME_INTO.get(act.kind)
-            or _piecewise_linear_prime_into(act.negative_slope))
-    return _evaluate(into, z)
+    return _evaluate(phi_prime_into(act), z)
 
 
 @functools.cache

@@ -29,7 +29,7 @@ from .kernels import (
     spectral_norm,
 )
 from .linmodel import MODES, FeatureMap, LinearTrainable, features, naive_map
-from .network import (NetTrainable, forward, jacobian_second_layer, mirrored_half,
+from .network import (Forward, NetTrainable, jacobian_second_layer, mirrored_half,
                       random_init, run_lockstep, symmetric_init)
 
 DEFAULT_HORIZON_C = 0.25
@@ -175,7 +175,8 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
     The test set is drawn from the same data spec as extra rows beyond the
     training block (row streams are independent per row, so train rows are
     unaffected). Records are emitted every `record_stride` steps plus always
-    at t = 0 and t = T.
+    at t = 0 and t = T; the net's forward pass on the test rows runs at
+    records only, into buffers of its own.
     """
     d, n = config.data.d, config.data.n
     eta, T, fmap = resolve_run(config)
@@ -193,12 +194,13 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
         J2_test = jacobian_second_layer(half, X_test) if config.n_test > 0 else None
     else:
         net = NetTrainable(init, X, eta1, eta2)
+        forward_test = Forward(init, X_test)
     lin = LinearTrainable(features(fmap, X), eta)
     Psi_test = features(fmap, X_test)
 
     def record(t, u, mse):
         if config.n_test > 0:
-            f_net_test = J2_test @ net.beta if folded else forward(net.net, X_test)
+            f_net_test = J2_test @ net.beta if folded else forward_test(net.net)
             f_lin_test = Psi_test @ lin.beta
             test_gap = float(np.mean(np.minimum((f_net_test - f_lin_test) ** 2, 1.0)))
         else:

@@ -7,6 +7,9 @@ initial function is identically zero without changing the tangent kernel
 (`mirrored_half` tests for that layout). The first-layer Jacobian (n x m*d
 entries) is never formed. The second-layer one is: with the first layer
 frozen the net is a linear model on it, and `harness` trains it as one.
+
+The n x m stages of the net's forward pass and GD step (`Forward`,
+`NetTrainable`) run in row chunks on the phi pool, the product XW^T included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation, phi, phi_prime
+from .activations import (PARALLEL_MIN_SIZE, Activation, phi, phi_prime, phi_into,
+                          phi_prime_into, run_in_blocks)
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -143,18 +147,79 @@ def random_init(m: int, d: int, act: Activation, seed: int) -> TwoLayerNet:
     )
 
 
-def preactivations(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
-    """X W^T / sqrt(d), shape (n, m)."""
+def _check_inputs(net: TwoLayerNet, X: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X has shape {X.shape}, expected (n, {net.d})")
+
+
+def preactivations(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
+    """X W^T / sqrt(d), shape (n, m)."""
+    _check_inputs(net, X)
     Z = X @ net.W.T
     Z /= math.sqrt(net.d)
     return Z
 
 
+# The rows of an n x m stage of at least PARALLEL_MIN_SIZE elements are cut
+# into at most 32 chunks that start at multiples of 24 rows and depend on n
+# alone, and `run_in_blocks` hands each core a run of whole chunks. Each chunk
+# is one BLAS call whatever the core count, so the result does not depend on
+# it. OpenBLAS 0.3.31 gives such a chunk of XW^T the bits of those rows of the
+# whole product (checked over 915 shapes that reach the pool); a chunk that
+# starts elsewhere can differ in the last bit, at m = 300 for one.
+_ROW_UNIT, _ROW_CHUNKS = 24, 32
+
+
+def _row_chunks(n: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges covering range(n) for a stage of `size` elements; one
+    range below PARALLEL_MIN_SIZE, where the stage runs serially."""
+    if size < PARALLEL_MIN_SIZE:
+        return [(0, n)]
+    step = _ROW_UNIT * -(-n // (_ROW_UNIT * _ROW_CHUNKS))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _run_chunks(work, chunks: list[tuple[int, int]], size: int) -> None:
+    """work(lo, hi) for every chunk, runs of whole chunks on the phi pool."""
+    def block(first: int, last: int) -> None:
+        for lo, hi in chunks[first:last]:
+            work(lo, hi)
+    run_in_blocks(block, len(chunks), size)
+
+
+class Forward:
+    """The forward pass of nets shaped like `net` on fixed rows X, into
+    (n, m) buffers allocated once: Z = X W^T / sqrt(d) and A = phi(Z).
+
+    A call runs one row chunk at a time per core: its product, its scaling
+    and its phi run in one thread while the chunk is in cache.
+    """
+
+    def __init__(self, net: TwoLayerNet, X: np.ndarray):
+        _check_inputs(net, X)
+        self.X = X
+        self.Z = np.empty((X.shape[0], net.m))
+        self.A = np.empty_like(self.Z)
+        self.chunks = _row_chunks(X.shape[0], self.Z.size)
+
+    def __call__(self, net: TwoLayerNet) -> np.ndarray:
+        """Fill Z and A for `net` and return its outputs A v / sqrt(m)."""
+        X, Z, A, W_T = self.X, self.Z, self.A, net.W.T
+        root_d, into = math.sqrt(net.d), phi_into(net.act)
+
+        def chunk(lo: int, hi: int) -> None:
+            z = Z[lo:hi]
+            np.matmul(X[lo:hi], W_T, out=z)
+            z /= root_d
+            into(z, A[lo:hi])
+
+        _run_chunks(chunk, self.chunks, Z.size)
+        return A @ net.v / math.sqrt(net.m)
+
+
 def forward(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
     """u_i = (1/sqrt(m)) v . phi(W x_i / sqrt(d))."""
-    return phi(net.act, preactivations(net, X)) @ net.v / math.sqrt(net.m)
+    return Forward(net, X)(net)
 
 
 def jacobian_second_layer(net: TwoLayerNet, X: np.ndarray) -> np.ndarray:
@@ -180,8 +245,11 @@ class NetTrainable:
     eta1 > 0 and on v at rate eta2 >= 0 (0 freezes v). With W frozen the net
     is a linear model on its second-layer Jacobian: `harness` trains it so.
 
-    Z = X W^T / sqrt(d) and A = phi(Z) are recomputed right after W moves,
-    in the memory of phi' and the stale Z and A, not fresh pages. v moves
+    The elementwise n x m stages run in row chunks on the phi pool, into
+    buffers allocated once: the forward pass (`Forward`) right after W moves,
+    and the residual G = phi'(Z) r, each chunk scaled by r while it is in
+    cache. The contraction (X^T G)^T stays one BLAS call: cut by neurons it
+    ran slower on 2 cores and changed the last bits at m = 300. v moves
     before W, and the W gradient uses the pre-step v.
     """
 
@@ -193,25 +261,31 @@ class NetTrainable:
         self.X, self.eta1, self.eta2 = X, eta1, eta2
         self._sqrt_m = math.sqrt(net.m)
         self._sqrt_md = math.sqrt(net.m * net.d)
-        self._Z = preactivations(self.net, X)
-        self._A = phi(net.act, self._Z)
+        self._forward = Forward(net, X)
+        self._G = np.empty_like(self._forward.Z)
+        self._u = self._forward(self.net)
 
     def outputs(self) -> np.ndarray:
-        return self._A @ self.net.v / self._sqrt_m
+        return self._u
 
     def step(self, r: np.ndarray) -> None:
         net, X, v = self.net, self.X, self.net.v
+        Z, A, G = self._forward.Z, self._forward.A, self._G
         n = X.shape[0]
         if self.eta2 != 0.0:
-            net.v = v - (self.eta2 / (n * self._sqrt_m)) * (self._A.T @ r)
-        G = phi_prime(net.act, self._Z)
-        G *= r[:, None]
+            net.v = v - (self.eta2 / (n * self._sqrt_m)) * (A.T @ r)
+        prime = phi_prime_into(net.act)
+
+        def residual(lo: int, hi: int) -> None:
+            g = G[lo:hi]
+            prime(Z[lo:hi], g)
+            g *= r[lo:hi, None]
+
+        _run_chunks(residual, self._forward.chunks, G.size)
         # (X^T G)^T: G^T X in the operand order BLAS runs faster; at some
         # shapes it differs from G.T @ X in the last bit
         net.W = net.W - (self.eta1 / (n * self._sqrt_md)) * (v[:, None] * (X.T @ G).T)
-        G = self._Z = self._A = None  # free their memory for the new Z and A
-        self._Z = preactivations(net, X)
-        self._A = phi(net.act, self._Z)
+        self._u = self._forward(net)
 
 
 def run_lockstep(what: str, models: dict, y: np.ndarray, eta: float, T: int,

@@ -3,9 +3,9 @@ import pytest
 
 @pytest.fixture
 def rows_per_call(monkeypatch):
-    """Wrap functions at the names a module imports them under and record the
-    row count of each call's result: `rows_per_call(module, "phi", ...)`
-    returns {name: [rows of call 1, rows of call 2, ...]}."""
+    """Wrap functions at the names a module imports them under, or methods of a
+    class, and record the row count of each call's result:
+    `rows_per_call(module, "phi", ...)` returns {name: [rows of call 1, ...]}."""
 
     def install(module, *names):
         seen = {name: [] for name in names}

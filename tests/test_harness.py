@@ -99,17 +99,24 @@ def test_coupled_run_divergence():
         coupled_run(config(T=300, eta=5e4))
 
 
+def forward_passes(rows_per_call):
+    """The rows of every forward pass through the first layer: the net's
+    blocked forward, or the preactivations of a frozen layer's Jacobian."""
+    blocked = rows_per_call(network.Forward, "__call__")["__call__"]
+    frozen = rows_per_call(network, "preactivations")["preactivations"]
+    return lambda: blocked + frozen
+
+
 @pytest.mark.parametrize("mode, per_run", [("second", 1), ("first", None), ("both", None)])
 def test_coupled_run_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
     # norm labels: a teacher's forward pass would add a call of its own
     cfg = config(mode=mode, n=96, T=5, eta=0.5, n_test=40,
                  labels=LabelSpec(kind="norm"))
-    calls = rows_per_call(network, "preactivations", "phi")
+    rows = forward_passes(rows_per_call)
     coupled_run(cfg)
     want = per_run or cfg.T + 1  # with a record at every step
-    for rows in calls.values():
-        assert rows.count(96) == want and rows.count(40) == want
-        assert len(rows) == 2 * want
+    assert rows().count(96) == want and rows().count(40) == want
+    assert len(rows()) == 2 * want
 
 
 def frozen_first_layer_oracle(init, X, y, eta, T):
@@ -415,10 +422,9 @@ def test_ablation_helps_relu_on_norm_labels():
 @pytest.mark.parametrize("mode, per_run", [("second", 1), ("first", None), ("both", None)])
 def test_ablation_computes_features_only_when_w_moves(rows_per_call, mode, per_run):
     cfg = replace(ablation_config(T=5, eta=0.5), mode=mode)
-    calls = rows_per_call(network, "preactivations", "phi")
+    rows = forward_passes(rows_per_call)
     norm_feature_ablation_experiment(cfg)
-    for rows in calls.values():
-        assert rows == [cfg.data.n] * (per_run or cfg.T + 1)
+    assert rows() == [cfg.data.n] * (per_run or cfg.T + 1)
 
 
 # ------------------------------------------------------------ decay + cnn

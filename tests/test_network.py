@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlylin import network
+from earlylin import activations, network
 from earlylin.activations import ERF, IDENTITY, RELU, SIGMOID, SOFTPLUS, TANH, Activation, phi, phi_prime
 from earlylin.datagen import DataSpec, generate_inputs, identity_covariance
 from earlylin.kernels import ntk_first_layer, ntk_second_layer
@@ -441,10 +441,37 @@ def test_train_recorder_sees_every_step():
 
 def test_train_computes_features_once_per_move_of_w(rows_per_call):
     ds = small_dataset(n=20, d=5, seed=2)
-    calls = rows_per_call(network, "preactivations", "phi")
+    calls = rows_per_call(network.Forward, "__call__")
     train(symmetric_init(12, 5, ERF, seed=1), ds, eta1=0.3, eta2=0.3, T=6)
-    for rows in calls.values():
-        assert rows == [20] * (6 + 1)
+    assert calls["__call__"] == [20] * (6 + 1)
+
+
+@pytest.mark.parametrize("act", [ERF, RELU], ids=lambda a: a.kind)
+@pytest.mark.parametrize("eta2", [0.0, 0.5], ids=["first", "both"])
+def test_the_gd_trajectory_does_not_depend_on_the_block_count(act, eta2):
+    # n m and n_test m reach the phi pool; at m = 300 rows of XW^T cut off
+    # the multiples of 24 change their last bits
+    n, n_test, d, m = 900, 880, 20, 300
+    assert n_test * m >= activations.PARALLEL_MIN_SIZE
+    X = gaussian(n + n_test, d, seed=3)
+    y = np.sign(X[:n, 0])
+    pool, _ = activations._executor()
+    runs = []
+    for blocks in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            if pool is not None:
+                mp.setattr(activations, "_executor", lambda: (pool, blocks))
+            model = NetTrainable(symmetric_init(m, d, act, seed=1), X[:n], 0.5, eta2)
+            test_rows = network.Forward(model.net, X[n:])
+
+            def record(t, u, mse):
+                return (u["net"], test_rows(model.net), model.net.W.copy(),
+                        model.net.v.copy())
+
+            runs.append(run_lockstep("blocks", {"net": model}, y, 0.5, 4, record))
+    for other in runs[1:]:
+        for want, got in zip(runs[0], other, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
 
 
 def test_train_divergence_aborts_with_diagnostic():
