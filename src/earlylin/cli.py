@@ -43,14 +43,15 @@ from .harness import (
     AblationRecord,
     AgreementRecord,
     CoupledRunConfig,
+    HorizonError,
     LabelSpec,
     cnn_deviation_experiment,
     cnn_second_point_rows,
     coupled_run,
-    default_learning_rate,
     discrepancy_vs_dimension,
     norm_feature_ablation_experiment,
     residual_subspace_decomposition,
+    resolve_run,
     shift_seeds,
     spectral_decay_experiment,
 )
@@ -65,11 +66,8 @@ FLOAT_FMT = "%.17g"
 # largest of them, from the given quadrature order to twice that order.
 MOMENTS_RTOL = 1e-8
 
-SUBCOMMANDS = ("moments", "spectral-decay", "agreement", "discrepancy-sweep",
-               "cnn-ntk", "concentration", "norm-ablation", "decompose")
-
-# Flat config keys per subcommand, with defaults. None means "no value unless
-# given"; assertion thresholds are only checked when set.
+# The subcommands, and their flat config keys with defaults. None means "no
+# value unless given"; assertion thresholds are only checked when set.
 DEFAULTS = {
     "moments": {
         "act": "erf", "order": None, "slope": 0.01,
@@ -117,19 +115,39 @@ DEFAULTS = {
     },
 }
 
-# A key's type is that of its default. A key that defaults to None in every
-# subcommand is a float unless it is listed here.
-_KEY_TYPES = ({key: float for defaults in DEFAULTS.values() for key in defaults}
-              | {"order": int, "residual_csv": str, "xtest_csv": str}
-              | {key: type(value) for defaults in DEFAULTS.values()
-                 for key, value in defaults.items() if value is not None})
-_INT_MINIMUM = {"n": 1, "d": 1, "m": 1, "q": 1, "seeds": 1, "record_stride": 1,
-                "teacher_width": 1, "T": 0, "seed": 0, "a_seed": 0, "n_test": 0}
-_CHOICE_KEYS = {"act": KINDS, "mode": MODES, "labels": LABEL_KINDS, "base": BASES}
-# Subcommands that build n x n float64 matrices of the `n` key's rows.
-_SQUARE_SUBCOMMANDS = ("cnn-ntk", "concentration", "spectral-decay")
+# Each config key's type, and the values it takes: a bound on a number
+# (">= 1", "> 0", "in [low, high]"), a tuple of choices, or None for any.
+_KEYS = {
+    **dict.fromkeys(("n", "d", "m", "q", "seeds", "record_stride", "teacher_width"),
+                    (int, ">= 1")),
+    **dict.fromkeys(("T", "n_test"), (int, ">= 0")),
+    # Philox keys the input rows by a seed's low 64 bits; a seed names agreement's CSVs
+    **dict.fromkeys(("seed", "a_seed"), (int, f"in [0, {2**64 - 1}]")),
+    "order": (int, f"in [1, {MAX_ORDER}]"),
+    "d_list": (list, None),  # a list of values of d
+    "slope": (float, "in [-1, 1]"),
+    **dict.fromkeys(("eta", "horizon_c"), (float, "> 0")),
+    **dict.fromkeys(("a_norm", "growth", "max_spectral_slope", "min_frobenius_slope",
+                     "min_r2", "max_train_gap", "max_test_gap", "max_ratio",
+                     "bound_factor", "gram_lo", "gram_hi", "min_fraction"), (float, None)),
+    **dict.fromkeys(("radius_check", "require_decreasing"), (bool, None)),
+    **dict.fromkeys(("residual_csv", "xtest_csv"), (str, None)),
+    "act": (str, KINDS), "mode": (str, MODES), "labels": (str, LABEL_KINDS),
+    "base": (str, BASES),
+}
 _NULLABLE = {key for defaults in DEFAULTS.values()
              for key, value in defaults.items() if value is None}
+# The float64 arrays each subcommand sizes from its keys, as "rows x columns";
+# each must fit in the machine's memory by itself.
+_ARRAYS = {
+    "cnn-ntk": ("n x n", "n * 2^growth x n * 2^growth", "n x d"),
+    "concentration": ("n x n", "n x d"),
+    "spectral-decay": ("n x n", "n x m", "n x max(d_list)", "seeds x len(d_list)"),
+    "agreement": ("n x m", "n x d", "n_test x m", "n x teacher_width", "seeds x 7"),
+    "discrepancy-sweep": ("n x m", "n x max(d_list)", "n_test x m", "n x teacher_width",
+                          "seeds x len(d_list)"),
+    "norm-ablation": ("n x m", "n x d"),
+}
 
 
 class ConfigError(Exception):
@@ -139,39 +157,41 @@ class ConfigError(Exception):
 
 
 def _coerce(key: str, value):
-    """Check/convert one config value; raise ValueError with the reason."""
+    """Check/convert one config value, a flag's string or a JSON value, by its
+    row of _KEYS; raise ValueError with the reason."""
+    kind, allowed = _KEYS[key]
     if value is None:
         if key in _NULLABLE:
             return None
         raise ValueError("null not allowed")
-    kind = _KEY_TYPES[key]
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"expected true/false, got {value!r}")
+    if kind is str and allowed is not None and str(value) not in allowed:
+        raise ValueError(f"must be one of {', '.join(allowed)}; got {str(value)!r}")
     if kind is list:
         if isinstance(value, str):
             value = [part for part in value.split(",") if part.strip()]
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"expected a non-empty list, got {value!r}")
-        return [int(v) for v in value]
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"expected true/false, got {value!r}")
-    if kind is int:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"expected an integer, got {value!r}")
-        return int(value)
-    if kind is float:
-        if isinstance(value, bool):
-            raise ValueError(f"expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"must be finite, got {value}")
-        return value
-    if key in _CHOICE_KEYS:
-        value = str(value)
-        if value not in _CHOICE_KEYS[key]:
-            raise ValueError(f"must be one of {', '.join(_CHOICE_KEYS[key])}; got {value!r}")
-        return value
-    return str(value)
+        return [_coerce("d", v) for v in value]
+    if kind not in (int, float):
+        return kind(value)
+    if isinstance(value, str):  # a flag: the JSON number it spells, exact for an int
+        value = int(value) if value.strip().lstrip("+-").isdigit() else float(value)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"expected {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    if allowed is not None:
+        op, limit = allowed.split(" ", 1)
+        limit = json.loads(limit)
+        if not (limit[0] <= value <= limit[1] if op == "in"
+                else value > limit if op == ">" else value >= limit):
+            raise ValueError(f"must be {allowed}, got {value}")
+    return value
 
 
 def validate_config(subcommand: str, raw: dict) -> tuple[dict, list[str]]:
@@ -189,89 +209,72 @@ def validate_config(subcommand: str, raw: dict) -> tuple[dict, list[str]]:
             continue
         try:
             cfg[key] = _coerce(key, value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past every float
             errors.append(f"/{key}: {exc}")
     if not errors:
-        errors.extend(f"/{key}: {reason}"
-                      for key, reason in _semantic_errors(subcommand, cfg))
+        errors = _semantic_errors(subcommand, cfg)
     if errors:
         raise ConfigError(errors)
     return cfg, _regime_warnings(cfg)
 
 
-def _semantic_errors(subcommand: str, cfg: dict):
-    for key, low in _INT_MINIMUM.items():
-        if cfg.get(key) is not None and cfg[key] < low:
-            yield key, f"must be >= {low}, got {cfg[key]}"
-    if "slope" in cfg and not -1.0 <= cfg["slope"] <= 1.0:
-        yield "slope", f"must be in [-1, 1], got {cfg['slope']}"
+def _semantic_errors(subcommand: str, cfg: dict) -> list[str]:
+    """The rules that read two or more keys, or the machine's memory, as
+    `/key: reason` entries; _coerce has checked each key by its own row."""
+    errors = []
     linear = cfg.get("act") == "identity" or (
         cfg.get("act") == "leaky-relu" and cfg["slope"] == 1.0)
     if subcommand == "spectral-decay" and linear:
-        yield "act", ("a linear activation's first-layer NTK equals its lin1 kernel "
+        errors.append("/act: a linear activation's first-layer NTK equals its lin1 kernel "
                       "exactly, so every norm is 0 and there is no decay to fit")
     if subcommand == "cnn-ntk" and cfg["act"] == "leaky-relu" and cfg["slope"] == -1.0:
-        yield "slope", ("zeta = (1+slope)/2 is 0 at slope -1, so the base kernel "
-                        "2 zeta^2 XX^T/d is zero and the deviation ratio has no value")
-    if cfg.get("m") is not None and cfg["m"] % 2 != 0:
-        yield "m", "width must be even (symmetric initialization)"
-    if "eta" in cfg and cfg["eta"] is None and cfg["n"] == 1:
-        # The default rate may divide by ln n; d does not decide whether it does.
-        mom = moments(_activation(cfg))
-        try:
-            default_learning_rate(cfg["mode"], 1, cfg["n"], mom)
-        except ValueError as exc:
-            yield "n", f"{exc}; pass --eta to set the rate"
-    if cfg.get("eta") is not None and cfg["eta"] <= 0:
-        yield "eta", f"must be > 0, got {cfg['eta']}"
-    if "horizon_c" in cfg and cfg["horizon_c"] <= 0:
-        yield "horizon_c", f"must be > 0, got {cfg['horizon_c']}"
-    if "order" in cfg and cfg["order"] is not None and not 1 <= cfg["order"] <= MAX_ORDER:
-        yield "order", f"must be in [1, {MAX_ORDER}], got {cfg['order']}"
+        errors.append("/slope: zeta = (1+slope)/2 is 0 at slope -1, so the base kernel "
+                      "2 zeta^2 XX^T/d is zero and the deviation ratio has no value")
+    if "m" in cfg and cfg["m"] % 2 != 0:
+        errors.append("/m: width must be even (symmetric initialization)")
     if subcommand == "cnn-ntk" and cfg["q"] > cfg["d"]:
-        yield "q", f"filter size q={cfg['q']} exceeds d={cfg['d']}"
-    # rows of the n x n float64 matrices built, by the key that sets them
-    square = {"n": cfg["n"]} if subcommand in _SQUARE_SUBCOMMANDS else {}
-    if subcommand == "cnn-ntk" and cfg["n"] >= 1:
-        try:
-            square["growth"] = cnn_second_point_rows(cfg["n"], cfg["growth"])
-        except OverflowError:
-            square["growth"] = 0
-        if square["growth"] < 1:
-            yield "growth", ("the second point's rows, n * 2^growth, must round to "
-                             f"an integer >= 1; got {cfg['growth']} with n={cfg['n']}")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    too_big = [key for key, rows in square.items() if 8 * rows ** 2 > memory]
-    if too_big:
-        key = too_big[0]
-        got = f"n={cfg['n']}" if key == "n" else f"n * 2^growth = {square[key]:.4g}"
-        yield key, (f"an n x n float64 matrix (8 n^2 bytes) must fit in the "
-                    f"{memory / 2**30:.1f} GiB of memory; got {got}")
+        errors.append(f"/q: filter size q={cfg['q']} exceeds d={cfg['d']}")
+    # lengths of the sides of _ARRAYS: name -> (the key that sets it, its value)
+    sizes = {key: (key, value) for key, value in cfg.items() if type(value) is int}
+    dims = cfg.get("d_list", [])
+    sizes |= {"7": (None, 7), "len(d_list)": ("d_list", len(dims)),
+              "max(d_list)": ("d_list", max(dims, default=0))}
+    if subcommand == "cnn-ntk":
+        with contextlib.suppress(OverflowError):
+            sizes["n * 2^growth"] = ("growth", cnn_second_point_rows(cfg["n"], cfg["growth"]))
+        if sizes.setdefault("n * 2^growth", ("growth", 0))[1] < 1:
+            errors.append("/growth: the second point's rows, n * 2^growth, must round to an "
+                          f"integer >= 1; got {cfg['growth']} with n={cfg['n']}")
     if subcommand == "decompose":
-        for key in ("residual_csv", "xtest_csv"):
-            if cfg[key] is None:
-                yield key, "required (path to a CSV file)"
-    if "d_list" in cfg:
-        if any(d < 1 for d in cfg["d_list"]):
-            yield "d_list", f"dimensions must be >= 1, got {cfg['d_list']}"
-    if subcommand == "spectral-decay" and len(set(cfg["d_list"])) < 3:
-        yield "d_list", ("the decay fit needs at least 3 distinct dimensions, "
-                         f"got {cfg['d_list']}")
+        errors += [f"/{key}: required (path to a CSV file)"
+                   for key in ("residual_csv", "xtest_csv") if cfg[key] is None]
+    if subcommand == "spectral-decay" and len(set(dims)) < 3:
+        errors.append(f"/d_list: the decay fit needs at least 3 distinct dimensions, got {dims}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for shape in _ARRAYS.get(subcommand, ()):
+        (rows_key, rows), (columns_key, columns) = map(sizes.get, shape.split(" x "))
+        if 8 * rows * columns > memory:
+            errors.append(f"/{rows_key if rows >= columns else columns_key}: an {shape} "
+                          f"float64 array must fit in the {memory / 2**30:.1f} GiB of "
+                          f"memory; got {rows} x {columns}")
+            break
+    if "horizon_c" in cfg and not errors:  # the rate and the horizon, as a run sets them
+        try:  # T grows with d, so the largest d decides
+            resolve_run(_coupled_config(cfg | {"d": max(dims or [cfg["d"]])}))
+        except HorizonError as exc:
+            errors.append(f"/horizon_c: {exc}; pass --T to set the steps")
+        except ValueError as exc:  # the default rate divides by ln n
+            errors.append(f"/n: {exc}; pass --eta to set the rate")
+    return errors
 
 
 def _regime_warnings(cfg: dict) -> list[str]:
-    warnings = []
-    if cfg.get("n") is not None:
-        dims = cfg.get("d_list") or ([cfg["d"]] if cfg.get("d") else [])
-        for d in dims:
-            threshold = d ** 1.1
-            if cfg["n"] < threshold:
-                warnings.append(
-                    f"n={cfg['n']} is below d^1.1 = {threshold:.0f} for d={d}; the "
+    for d in cfg.get("d_list") or ([cfg["d"]] if "d" in cfg else []):
+        if cfg["n"] < d ** 1.1:
+            return [f"n={cfg['n']} is below d^1.1 = {d ** 1.1:.0f} for d={d}; the "
                     "guarantees target the regime n >~ d^(1+a) for some a > 0, so "
-                    "expect noisy agreement at this size")
-                break
-    return warnings
+                    "expect noisy agreement at this size"]
+    return []
 
 
 def _activation(cfg: dict) -> Activation:
@@ -351,7 +354,9 @@ class Assertion:
 
 
 def _coupled_config(cfg: dict) -> CoupledRunConfig:
-    labels = LabelSpec(kind=cfg["labels"], teacher_width=cfg.get("teacher_width", 5),
+    # norm-ablation has neither `labels` nor `n_test`: norm labels, no held-out rows
+    labels = LabelSpec(kind=cfg.get("labels", "norm"),
+                       teacher_width=cfg.get("teacher_width", 5),
                        teacher_seed=cfg["seed"], a_norm=cfg["a_norm"],
                        a_seed=cfg.get("a_seed", cfg["seed"]))
     return CoupledRunConfig(
@@ -364,7 +369,7 @@ def _coupled_config(cfg: dict) -> CoupledRunConfig:
         eta=cfg["eta"],
         T=cfg["T"],
         horizon_c=cfg["horizon_c"],
-        n_test=cfg["n_test"],
+        n_test=cfg.get("n_test", 0),
         record_stride=cfg["record_stride"],
     )
 
@@ -539,8 +544,7 @@ def _run_concentration(cfg, out_dir):
 
 
 def _run_norm_ablation(cfg, out_dir):
-    run_cfg = _coupled_config(cfg | {"labels": "norm", "n_test": 0})
-    result = _recorded_run(norm_feature_ablation_experiment, run_cfg,
+    result = _recorded_run(norm_feature_ablation_experiment, _coupled_config(cfg),
                            os.path.join(out_dir, "ablation.csv"), AblationRecord)
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["eta", "T", "fraction_full_below"],
@@ -600,24 +604,13 @@ _RUNNERS = {
 
 # -------------------------------------------------------------------- parsing
 
-def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
-    flag = "--" + key.replace("_", "-")
-    if _KEY_TYPES[key] is bool:
-        parser.add_argument(flag, action="store_const", const=True,
-                            default=None, dest=key)
-    else:
-        # Everything arrives as a string; _coerce applies the real type so
-        # flag values and JSON values take the same path.
-        parser.add_argument(flag, default=None, dest=key, metavar=key.upper())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="earlylin",
         description="Two-layer network vs. early-time linear model experiments.")
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in DEFAULTS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", default=None, metavar="PATH",
                          help="JSON config file with flat keys; flags override")
@@ -625,7 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory (default runs/<subcommand>)")
         sub.add_argument("-v", "--verbose", action="store_true")
         for key in DEFAULTS[name]:
-            _add_flag(sub, key)
+            flag = "--" + key.replace("_", "-")
+            if _KEYS[key][0] is bool:
+                sub.add_argument(flag, action="store_true", default=None)
+            else:  # a string, which _coerce reads as the JSON value it spells
+                sub.add_argument(flag)
     return parser
 
 
@@ -639,7 +636,7 @@ def _merged_raw_config(args: argparse.Namespace) -> tuple[dict, dict | None]:
                 raw_file = json.load(fh)
         except OSError as exc:
             raise ConfigError([f"cannot read config file {args.config}: {exc}"])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
             raise ConfigError([f"config file {args.config} is not valid JSON: {exc}"])
         if not isinstance(raw_file, dict):
             raise ConfigError([f"config file {args.config} must hold a JSON object"])
@@ -676,30 +673,21 @@ def run(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
 
-    try:
-        raw, raw_file = _merged_raw_config(args)
-        cfg, warnings = validate_config(args.subcommand, raw)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
-
     out_dir = args.out if args.out is not None else os.path.join(
         "runs", args.subcommand)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:  # --out names a file, or a path under one
-        print(f"config error: --out {out_dir}: {exc.strerror}", file=sys.stderr)
-        return 2
-    if os.path.exists(os.path.join(out_dir, "failure.json")):
-        os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
-
     # The manifest is written after the run, so a config error that a runner
     # finds (a bad `decompose` input file) leaves no file behind.
     try:
+        raw, raw_file = _merged_raw_config(args)
+        cfg, warnings = validate_config(args.subcommand, raw)
+        for message in warnings:
+            print(f"warning: {message}", file=sys.stderr)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a path under one
+            raise ConfigError([f"--out {out_dir}: {exc.strerror}"]) from None
+        if os.path.exists(os.path.join(out_dir, "failure.json")):
+            os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
         with _label_warnings_as_cli_lines():
             checks = _RUNNERS[args.subcommand](cfg, out_dir)
     except ConfigError as exc:

@@ -155,16 +155,25 @@ def _frozen_first_layer_net(init, X: np.ndarray, eta2: float):
     return half, LinearTrainable(jacobian_second_layer(half, X), eta2)
 
 
+class HorizonError(ValueError):
+    """The horizon rule gives a run no integer number of steps."""
+
+
 def resolve_run(config: CoupledRunConfig):
     """The rate, the horizon and the feature map (with the activation's
-    moments and nu) of a coupled run: (eta, T, fmap)."""
+    moments and nu) of a coupled run: (eta, T, fmap). ValueError when the
+    default rate has no value, HorizonError when the horizon rule's T has none."""
     d = config.data.d
     n = config.data.n
     mom = moments(config.act)
     eta = config.eta if config.eta is not None else default_learning_rate(
         config.mode, d, n, mom)
-    T = config.T if config.T is not None else max(
-        1, int(config.horizon_c * d * math.log(d) / eta))
+    T = config.T
+    if T is None:
+        steps = config.horizon_c * d * math.log(d) / eta
+        if not math.isfinite(steps):
+            raise HorizonError(f"T = horizon_c d ln(d) / eta = {steps} has no integer value")
+        T = max(1, int(steps))
     fmap = FeatureMap(which=config.mode, moments=mom, nu=mom.theta1, d=d)
     return eta, T, fmap
 

@@ -312,8 +312,10 @@ def run_lockstep(what: str, models: dict, y: np.ndarray, eta: float, T: int,
         if t % stride == 0 or t == T:
             rows.append(record(t, outputs, mses))
         if t < T:
-            for name, model in models.items():
-                model.step(outputs[name] - y)
+            # an overflow shows as the next step's non-finite MSE, no numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, model in models.items():
+                    model.step(outputs[name] - y)
     return rows
 
 

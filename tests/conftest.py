@@ -1,4 +1,11 @@
-import pytest
+import os
+
+# One BLAS thread, as the benchmark's workers run: OpenBLAS's own threads
+# compete with the phi pool for the cores. Set before numpy is first imported;
+# neither pytest plugin imports it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earlylin.cli import _KEY_TYPES, ConfigError, DEFAULTS, run, validate_config
+from earlylin.cli import _KEYS, ConfigError, DEFAULTS, run, validate_config
 
 
 def read_tree(root):
@@ -67,6 +67,9 @@ def test_comfortable_sample_size_does_not_warn():
 def test_d_list_accepts_comma_separated_strings():
     cfg, _ = validate_config("spectral-decay", {"d_list": "8,12,16"})
     assert cfg["d_list"] == [8, 12, 16]
+    # each element is read as the JSON number it spells
+    cfg, _ = validate_config("spectral-decay", {"d_list": "8.0,1.2e1,16"})
+    assert cfg["d_list"] == [8, 12, 16] and {type(d) for d in cfg["d_list"]} == {int}
 
 
 def test_semantic_checks():
@@ -116,6 +119,10 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     code = run(["moments", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+    bad.write_text('{"n": ' + "1" * 5000 + "}\n")  # more digits than Python reads as an int
+    assert run(["agreement", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys):
@@ -147,6 +154,7 @@ def test_manifest_reproduces_the_run(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     code = run(["agreement", "--config", str(cfg_path), "--seed", "9",
+                "--d", "1.2e1", "--n", "64.0",  # read as the JSON numbers 12 and 64
                 "--out", str(out)])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -154,7 +162,7 @@ def test_manifest_reproduces_the_run(tmp_path):
     assert manifest["subcommand"] == "agreement"
     assert manifest["config_file"] == raw  # echoed verbatim
     assert manifest["config"]["seed"] == 9  # flag overrides file/defaults
-    assert manifest["config"]["d"] == 12
+    assert manifest["config"]["d"] == 12 and type(manifest["config"]["d"]) is int
     assert (out / "agreement_seed9.csv").exists()
 
 
@@ -466,7 +474,7 @@ def test_non_finite_leaky_relu_slope_is_a_config_error(tmp_path, capsys):
 def test_a_key_has_the_type_of_its_default_in_every_subcommand():
     for defaults in DEFAULTS.values():
         for key, value in defaults.items():
-            assert value is None or type(value) is _KEY_TYPES[key], key
+            assert value is None or type(value) is _KEYS[key][0], key
 
 
 SMALL_SWEEP = ("--d-list", "4,8,16", "--n", "50", "--m", "8", "--seeds", "1")
@@ -501,7 +509,7 @@ def test_slopes_at_the_ends_of_the_range_run(tmp_path, slope):
 
 
 FLOAT_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
-              for key in defaults if _KEY_TYPES[key] is float]
+              for key in defaults if _KEYS[key][0] is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -546,10 +554,35 @@ def test_moments_warns_when_the_quadrature_order_is_too_low(tmp_path, capsys):
     (("cnn-ntk", "--growth", "1000", "--d", "4", "--q", "2", "--n", "8"), "growth"),
     (("cnn-ntk", "--growth", "40", "--d", "4", "--q", "2", "--n", "8"), "growth"),
     (("cnn-ntk", "--n", "10000000"), "n"),
+    # a dict is a JSON config file: d_list's elements are ints >= 1, as d is
+    (("spectral-decay", {"d_list": [math.inf, 32, 64]}, "--n", "6", "--m", "4"), "d_list"),
+    (("spectral-decay", {"d_list": [16.5, 32, 64]}, "--n", "6", "--m", "4"), "d_list"),
+    (("spectral-decay", {"d_list": [True, 2, 3]}, "--n", "6", "--m", "4"), "d_list"),
+    # an n x d, n x max(d_list) or n x m float64 array larger than the memory
+    (("agreement", {"d": 1e300}), "d"),
+    (("concentration", {"d": 1e300}), "d"),
+    (("discrepancy-sweep", {"d_list": [1e300]}), "d_list"),
+    (("agreement", {"n": 1e300}), "n"),
+    (("norm-ablation", {"m": 1e300}), "m"),
+    # a JSON int past the largest float, for a float key
+    (("agreement", {"eta": 10**400}, "--d", "3", "--n", "12", "--m", "4"), "eta"),
+    # a seed past 64 bits (it would also name a CSV too long for the file system)
+    (("agreement", {"seed": 1e300}, "--d", "3", "--n", "12", "--m", "4"), "seed"),
+    # T = horizon_c d ln(d) / eta overflows to inf
+    (("agreement", "--horizon-c", "1e300", "--eta", "1e-10", "--d", "3", "--n", "12",
+      "--m", "4"), "horizon_c"),
 ])
 def test_out_of_range_seeds_n_test_and_growth_are_config_errors(tmp_path, capsys, args, key):
     out = tmp_path / "out"
-    assert run([*args, "--out", str(out)]) == 2
+    config = tmp_path / "config.json"
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv += ["--config", str(config)]
+        else:
+            argv.append(arg)
+    assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: /{key}: "), err
     assert not out.exists()
@@ -557,7 +590,7 @@ def test_out_of_range_seeds_n_test_and_growth_are_config_errors(tmp_path, capsys
 
 @pytest.mark.parametrize("subcommand, args, fits", [
     ("concentration", ["--d", "1"], {"n": 362}),  # 1.0 MiB
-    ("spectral-decay", [], {"n": 362}),
+    ("spectral-decay", [], {"n": 362, "m": 2}),  # its n x m array fits too
     ("cnn-ntk", ["--d", "4", "--q", "2"], {"n": 362, "growth": 0.0}),
 ])
 def test_an_n_by_n_matrix_larger_than_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
@@ -596,15 +629,22 @@ SMALL = {  # sizes at which every subcommand runs in well under a second
     "norm-ablation": ["--d", "3", "--n", "12", "--m", "4"],
 }
 NUMBER_KEYS = [(sub, key) for sub, defaults in DEFAULTS.items()
-               for key in defaults if _KEY_TYPES[key] in (int, float)]
+               for key in defaults if _KEYS[key][0] in (int, float)]
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("sub, key", NUMBER_KEYS, ids=[f"{s}-{k}" for s, k in NUMBER_KEYS])
+# T and horizon_c are left out at 1e300: a run of that many steps is one that
+# does not end, not a fault
+NUMBER_VALUES = [(sub, key, value) for sub, key in NUMBER_KEYS for value in ("0", "-1", "1e300")
+                 if not (value == "1e300" and key in ("T", "horizon_c"))]
+
+
+@pytest.mark.parametrize("sub, key, value", NUMBER_VALUES,
+                         ids=[f"{s}-{k}-{v}" for s, k, v in NUMBER_VALUES])
 def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, capsys, sub,
                                                                   key, value):
     # a config error, or a run that passes or fails its checks: never a
-    # traceback, a divergence or a raw warning
+    # traceback or a raw warning. Only a huge rate, or labels so large that
+    # their squares overflow, may abort the run as a divergence.
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -614,6 +654,10 @@ def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, caps
     if code == 2:
         assert lines and all(line.startswith("config error: ") for line in lines), lines
         assert not out.exists()
+    elif code == 3:
+        assert value == "1e300" and key in ("eta", "a_norm"), lines
+        assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
+        assert lines[-1].startswith("aborted: "), lines
     else:
         assert code in (0, 1)
         assert all(line.startswith("warning: ") for line in lines), lines
