@@ -156,6 +156,15 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _number(value) -> str:
+    """str(value), but an int past 20 characters to 6 digits, as 1e+300."""
+    text = str(value)
+    if not isinstance(value, int) or len(text) <= 20:
+        return text
+    import decimal  # on an error path only: it adds 0.4 MiB to every run's peak
+    return format(decimal.Decimal(value).normalize(decimal.Context(prec=6)), "g")
+
+
 def _coerce(key: str, value):
     """Check/convert one config value, a flag's string or a JSON value, by its
     row of _KEYS; raise ValueError with the reason."""
@@ -190,7 +199,7 @@ def _coerce(key: str, value):
         limit = json.loads(limit)
         if not (limit[0] <= value <= limit[1] if op == "in"
                 else value > limit if op == ">" else value >= limit):
-            raise ValueError(f"must be {allowed}, got {value}")
+            raise ValueError(f"must be {allowed}, got {_number(value)}")
     return value
 
 
@@ -233,7 +242,7 @@ def _semantic_errors(subcommand: str, cfg: dict) -> list[str]:
     if "m" in cfg and cfg["m"] % 2 != 0:
         errors.append("/m: width must be even (symmetric initialization)")
     if subcommand == "cnn-ntk" and cfg["q"] > cfg["d"]:
-        errors.append(f"/q: filter size q={cfg['q']} exceeds d={cfg['d']}")
+        errors.append(f"/q: filter size q={_number(cfg['q'])} exceeds d={_number(cfg['d'])}")
     # lengths of the sides of _ARRAYS: name -> (the key that sets it, its value)
     sizes = {key: (key, value) for key, value in cfg.items() if type(value) is int}
     dims = cfg.get("d_list", [])
@@ -244,19 +253,20 @@ def _semantic_errors(subcommand: str, cfg: dict) -> list[str]:
             sizes["n * 2^growth"] = ("growth", cnn_second_point_rows(cfg["n"], cfg["growth"]))
         if sizes.setdefault("n * 2^growth", ("growth", 0))[1] < 1:
             errors.append("/growth: the second point's rows, n * 2^growth, must round to an "
-                          f"integer >= 1; got {cfg['growth']} with n={cfg['n']}")
+                          f"integer >= 1; got {cfg['growth']} with n={_number(cfg['n'])}")
     if subcommand == "decompose":
         errors += [f"/{key}: required (path to a CSV file)"
                    for key in ("residual_csv", "xtest_csv") if cfg[key] is None]
     if subcommand == "spectral-decay" and len(set(dims)) < 3:
-        errors.append(f"/d_list: the decay fit needs at least 3 distinct dimensions, got {dims}")
+        errors.append("/d_list: the decay fit needs at least 3 distinct dimensions, "
+                      f"got [{', '.join(map(_number, dims))}]")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for shape in _ARRAYS.get(subcommand, ()):
         (rows_key, rows), (columns_key, columns) = map(sizes.get, shape.split(" x "))
         if 8 * rows * columns > memory:
             errors.append(f"/{rows_key if rows >= columns else columns_key}: an {shape} "
                           f"float64 array must fit in the {memory / 2**30:.1f} GiB of "
-                          f"memory; got {rows} x {columns}")
+                          f"memory; got {_number(rows)} x {_number(columns)}")
             break
     if "horizon_c" in cfg and not errors:  # the rate and the horizon, as a run sets them
         try:  # T grows with d, so the largest d decides

@@ -28,7 +28,7 @@ from .kernels import (
     ntk_first_layer,
     spectral_norm,
 )
-from .linmodel import MODES, FeatureMap, LinearTrainable, features, naive_map
+from .linmodel import MODES, LinearTrainable, features
 from .network import (Forward, NetTrainable, jacobian_second_layer, mirrored_half,
                       random_init, run_lockstep, symmetric_init)
 
@@ -131,38 +131,14 @@ def default_learning_rate(mode: str, d: int, n: int, mom: Moments) -> float:
     return 0.1
 
 
-def _mode_rates(mode: str, eta: float) -> tuple[float, float]:
-    if mode == "first":
-        return eta, 0.0
-    if mode == "second":
-        return 0.0, eta
-    return eta, eta
-
-
-def _frozen_first_layer_net(init, X: np.ndarray, eta2: float):
-    """The mirrored net `init` trained on v alone, as the linear model it is:
-    (the half net, LinearTrainable(J2_half, eta2)), J2_half its second-layer
-    Jacobian on X.
-
-    symmetric_init has W[h:] = W[:h] and v[h:] = -v[:h]. With W frozen both
-    halves of v get the same gradient, so u = J2_half beta with
-    beta = (v[:h] + v[h:]) / sqrt(2): beta starts at exactly 0, moves at rate
-    eta2, and ||v - v0|| = ||beta||. J2_half J2_half^T is the second-layer
-    NTK of init. The fold is wrong for any other net: `mirrored_half` gives
-    None for one.
-    """
-    half = mirrored_half(init)
-    return half, LinearTrainable(jacobian_second_layer(half, X), eta2)
-
-
 class HorizonError(ValueError):
     """The horizon rule gives a run no integer number of steps."""
 
 
 def resolve_run(config: CoupledRunConfig):
-    """The rate, the horizon and the feature map (with the activation's
-    moments and nu) of a coupled run: (eta, T, fmap). ValueError when the
-    default rate has no value, HorizonError when the horizon rule's T has none."""
+    """The rate, the horizon and the activation's moments of a coupled run:
+    (eta, T, mom). ValueError when the default rate has no value,
+    HorizonError when the horizon rule's T has none."""
     d = config.data.d
     n = config.data.n
     mom = moments(config.act)
@@ -174,8 +150,28 @@ def resolve_run(config: CoupledRunConfig):
         if not math.isfinite(steps):
             raise HorizonError(f"T = horizon_c d ln(d) / eta = {steps} has no integer value")
         T = max(1, int(steps))
-    fmap = FeatureMap(which=config.mode, moments=mom, nu=mom.theta1, d=d)
-    return eta, T, fmap
+    return eta, T, mom
+
+
+def _net_and_lin(config: CoupledRunConfig, X: np.ndarray, eta: float, mom: Moments):
+    """(init, net, lin) of a coupled run on X: the mirrored init, the net as a
+    trainable of W alone (mode `first`) or of W and v (`both`), and the
+    linear model on features(config.mode, mom, X), both models at rate eta.
+
+    In mode `second` the net is the linear model it is. symmetric_init has
+    W[h:] = W[:h] and v[h:] = -v[:h]; with W frozen both halves of v get the
+    same gradient, so u = J2_half beta with beta = (v[:h] + v[h:]) / sqrt(2),
+    J2_half the half net's second-layer Jacobian on X: beta starts at exactly
+    0, moves at rate eta, and ||v - v0|| = ||beta||. J2_half J2_half^T is the
+    second-layer NTK of init. The fold is wrong for any other net:
+    `mirrored_half` gives None for one.
+    """
+    init = symmetric_init(config.m, X.shape[1], config.act, config.net_seed)
+    if config.mode == "second":
+        net = LinearTrainable(jacobian_second_layer(mirrored_half(init), X), eta)
+    else:
+        net = NetTrainable(init, X, eta, eta if config.mode == "both" else 0.0)
+    return init, net, LinearTrainable(features(config.mode, mom, X), eta)
 
 
 def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
@@ -187,25 +183,22 @@ def coupled_run(config: CoupledRunConfig) -> CoupledRunResult:
     at t = 0 and t = T; the net's forward pass on the test rows runs at
     records only, into buffers of its own.
     """
-    d, n = config.data.d, config.data.n
-    eta, T, fmap = resolve_run(config)
-    eta1, eta2 = _mode_rates(config.mode, eta)
+    n = config.data.n
+    eta, T, mom = resolve_run(config)
 
     all_spec = replace(config.data, n=n + config.n_test)
     X_all = generate_inputs(all_spec)
     X, X_test = X_all[:n], X_all[n:]
     y = make_labels(X, config.labels)
 
-    init = symmetric_init(config.m, d, config.act, config.net_seed)
-    folded = eta1 == 0.0
+    init, net, lin = _net_and_lin(config, X, eta, mom)
+    folded = config.mode == "second"  # net is the linear model on the half net's J2
     if folded:
-        half, net = _frozen_first_layer_net(init, X, eta2)
-        J2_test = jacobian_second_layer(half, X_test) if config.n_test > 0 else None
+        J2_test = (jacobian_second_layer(mirrored_half(init), X_test)
+                   if config.n_test > 0 else None)
     else:
-        net = NetTrainable(init, X, eta1, eta2)
         forward_test = Forward(init, X_test)
-    lin = LinearTrainable(features(fmap, X), eta)
-    Psi_test = features(fmap, X_test)
+    Psi_test = features(config.mode, mom, X_test)
 
     def record(t, u, mse):
         if config.n_test > 0:
@@ -319,22 +312,19 @@ class AblationResult:
 def norm_feature_ablation_experiment(config: CoupledRunConfig) -> AblationResult:
     """Train the net once; track full and norm-feature-ablated linear models.
 
-    The naive model zeroes theta1 and theta2, freezing the norm feature at
-    the constant theta0; everything else (data, rate, steps) is shared, so
-    any gap difference is attributable to the norm feature.
+    The naive model zeroes theta1 and theta2, freezing the norm feature (Psi's
+    last column; mode `first` has none) at theta0; everything else (data,
+    rate, steps) is shared, so any gap difference is attributable to it.
     """
-    eta, T, fmap = resolve_run(config)
-    eta1, eta2 = _mode_rates(config.mode, eta)
+    eta, T, mom = resolve_run(config)
 
     X = generate_inputs(config.data)
     y = make_labels(X, config.labels)
-    init = symmetric_init(config.m, config.data.d, config.act, config.net_seed)
-    models = {
-        "net": (_frozen_first_layer_net(init, X, eta2)[1] if eta1 == 0.0
-                else NetTrainable(init, X, eta1, eta2)),
-        "full": LinearTrainable(features(fmap, X), eta),
-        "naive": LinearTrainable(features(naive_map(fmap), X), eta),
-    }
+    _, net, full = _net_and_lin(config, X, eta, mom)
+    Psi_naive = full.Psi.copy()
+    if config.mode != "first":
+        Psi_naive[:, -1] = mom.theta0
+    models = {"net": net, "full": full, "naive": LinearTrainable(Psi_naive, eta)}
 
     def record(t, u, mse):
         return AblationRecord(

@@ -44,22 +44,11 @@ class DivergenceError(RuntimeError):
 
 def mean_squared_error(u: np.ndarray, y: np.ndarray) -> float:
     """Per-step training MSE of a model. An overflow gives inf without a
-    numpy warning: `check_divergence` reports it."""
+    numpy warning: `run_lockstep` reports it as a divergence."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = u - y
         d *= d
         return float(np.add.reduce(d)) / d.size
-
-
-def check_divergence(what: str, step: int, mses: dict[str, float],
-                     initial_mse: float, eta: float, T: int,
-                     records: list) -> None:
-    """Raise DivergenceError if any MSE is non-finite or exceeds
-    DIVERGENCE_FACTOR times the initial MSE."""
-    worst = max(mses.values())
-    if (not all(math.isfinite(v) for v in mses.values())
-            or (initial_mse > 0 and worst > DIVERGENCE_FACTOR * initial_mse)):
-        raise DivergenceError(what, step, mses, eta, T, records)
 
 
 @dataclass
@@ -296,19 +285,23 @@ def run_lockstep(what: str, models: dict, y: np.ndarray, eta: float, T: int,
     A trainable has `outputs()`, its current predictions on the training
     set, and `step(r)`, one GD step from the residual r = outputs - y. At
     each step t = 0..T the driver takes every model's outputs and MSE,
-    checks them for divergence against the largest step-0 MSE, appends
-    `record(t, outputs, mses)` (both dicts by model name) to the rows when
-    t % stride == 0 or t == T, and then steps every model. A DivergenceError
-    carries the rows recorded before the failing step.
+    raises DivergenceError if an MSE is non-finite or past DIVERGENCE_FACTOR
+    times the largest step-0 MSE, appends `record(t, outputs, mses)` (both
+    dicts by model name) to the rows when t % stride == 0 or t == T, and then
+    steps every model. A DivergenceError carries the rows recorded before the
+    failing step.
     """
     rows = []
     initial_mse = None
     for t in range(T + 1):
         outputs = {name: model.outputs() for name, model in models.items()}
         mses = {name: mean_squared_error(u, y) for name, u in outputs.items()}
+        worst = max(mses.values())
         if initial_mse is None:
-            initial_mse = max(mses.values())
-        check_divergence(what, t, mses, initial_mse, eta, T, rows)
+            initial_mse = worst
+        if (not all(math.isfinite(v) for v in mses.values())
+                or (initial_mse > 0 and worst > DIVERGENCE_FACTOR * initial_mse)):
+            raise DivergenceError(what, t, mses, eta, T, rows)
         if t % stride == 0 or t == T:
             rows.append(record(t, outputs, mses))
         if t < T:

@@ -22,7 +22,6 @@ from earlylin.activations import (
     TANH,
     leaky_relu,
     moments,
-    nu,
     phi,
     phi_prime,
 )
@@ -42,7 +41,7 @@ from earlylin.harness import (
     spectral_decay_experiment,
 )
 from earlylin.kernels import expected_ntk_first, expected_ntk_second
-from earlylin.linmodel import FeatureMap, LinearTrainable, closed_form_trajectory, features
+from earlylin.linmodel import LinearTrainable, closed_form_trajectory, features
 from earlylin.network import (
     Cnn1D,
     TwoLayerNet,
@@ -144,12 +143,10 @@ def test_criterion_05_closed_form_matches_iterative_gd():
             which = ("first", "second", "both")[i % 3]
             X = rng.standard_normal((n, d))
             y = rng.standard_normal(n)
-            mom = moments(act)
-            fmap = FeatureMap(which=which, moments=mom,
-                              nu=nu(mom, identity_covariance(d), d), d=d)
-            K = features(fmap, X) @ features(fmap, X).T
+            Psi = features(which, moments(act), X)
+            K = Psi @ Psi.T
             eta = 0.9 * n / float(np.linalg.eigvalsh(K)[-1])
-            lin = LinearTrainable(features(fmap, X), eta)
+            lin = LinearTrainable(Psi, eta)
             iterative = run_lockstep("linear GD", {"lin": lin}, y, eta, 500,
                                      lambda t, u, mse: u["lin"])
             closed = closed_form_trajectory(K, y, eta, range(501))

@@ -643,14 +643,16 @@ NUMBER_VALUES = [(sub, key, value) for sub, key in NUMBER_KEYS for value in ("0"
 def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, capsys, sub,
                                                                   key, value):
     # a config error, or a run that passes or fails its checks: never a
-    # traceback or a raw warning. Only a huge rate, or labels so large that
-    # their squares overflow, may abort the run as a divergence.
+    # traceback, a raw warning or a line past 200 characters (a huge number
+    # prints short). Only a huge rate, or labels so large that their squares
+    # overflow, may abort the run as a divergence.
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run([sub, *SMALL[sub], f"--{key.replace('_', '-')}={value}",
                     "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
+    assert all(len(line) <= 200 for line in lines), lines
     if code == 2:
         assert lines and all(line.startswith("config error: ") for line in lines), lines
         assert not out.exists()

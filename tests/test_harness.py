@@ -22,7 +22,7 @@ from earlylin.harness import (
     spectral_decay_experiment,
 )
 from earlylin.kernels import linear_kernel, ntk_first_layer, ntk_second_layer, spectral_norm
-from earlylin.linmodel import closed_form_trajectory, features
+from earlylin.linmodel import MODES, LinearTrainable, closed_form_trajectory, features, norm_feature
 from earlylin.network import (
     DivergenceError,
     NetTrainable,
@@ -167,7 +167,7 @@ def test_a_frozen_first_layer_trains_as_the_linear_model_it_is(monkeypatch, act,
     assert np.all(got[0] == 0.0)  # beta starts at exactly 0
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-12 * scale
-    closed = closed_form_trajectory(ntk_second_layer(init, X), y, eta, range(T + 1))
+    closed = closed_form_trajectory(ntk_second_layer(init, X).values, y, eta, range(T + 1))
     assert np.abs(got - closed).max() <= 1e-10 * scale
     if experiment is coupled_run:
         records = result.records
@@ -176,8 +176,8 @@ def test_a_frozen_first_layer_trains_as_the_linear_model_it_is(monkeypatch, act,
                                    rtol=1e-12, atol=0)
         # the last record's test gap, from the oracle's final v and the
         # linear model's final beta (the linear model is not folded)
-        fmap = resolve_run(cfg)[2]
-        Psi, Psi_test = features(fmap, X), features(fmap, X_test)
+        mom = resolve_run(cfg)[2]
+        Psi, Psi_test = features("second", mom, X), features("second", mom, X_test)
         beta = np.zeros(Psi.shape[1])
         for _ in range(T):
             beta = beta - (eta / n) * (Psi.T @ (Psi @ beta - y))
@@ -224,12 +224,12 @@ def test_default_learning_rates_by_mode():
 
 def test_resolve_run_fills_rate_horizon_and_map():
     cfg = config(mode="first", d=20, n=100, m=16, T=None, eta=None)
-    eta, T, fmap = resolve_run(cfg)
+    eta, T, mom = resolve_run(cfg)
     assert eta == 2.0  # 0.1 * d
     assert T == int(0.25 * 20 * math.log(20) / 2.0)
-    assert fmap.which == "first" and fmap.d == 20
-    assert fmap.moments == moments(ERF)
-    assert fmap.nu == nu(fmap.moments, cfg.data.covariance, 20)
+    assert mom == moments(ERF)
+    assert mom.theta1 == nu(mom, cfg.data.covariance, 20)  # the map's nu
+    assert resolve_run(replace(cfg, act=RELU))[2] == moments(RELU)
 
 
 # --------------------------------------------------------- dimension sweep
@@ -417,6 +417,31 @@ def test_ablation_helps_relu_on_norm_labels():
     # tracks the network better than the ablated one at most steps
     result = norm_feature_ablation_experiment(ablation_config(d=24, n=400, m=64))
     assert result.fraction_full_below >= 0.8
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ablation_naive_features_freeze_the_norm_feature_at_theta0(monkeypatch, mode):
+    made = []  # the Psi of every linear model the experiment builds, in order
+
+    def spy(Psi, eta):
+        made.append(Psi)
+        return LinearTrainable(Psi, eta)
+
+    monkeypatch.setattr(harness, "LinearTrainable", spy)
+    cfg = replace(ablation_config(T=2, eta=0.5), mode=mode)
+    norm_feature_ablation_experiment(cfg)
+    full, naive = made[-2:]
+    X, mom = generate_inputs(cfg.data), moments(cfg.act)
+    np.testing.assert_array_equal(full, features(mode, mom, X))
+    if mode == "first":  # psi1 has no norm feature
+        np.testing.assert_array_equal(naive, full)
+        return
+    np.testing.assert_array_equal(naive[:, :-1], full[:, :-1])
+    np.testing.assert_array_equal(naive[:, -1], np.full(len(X), mom.theta0))
+    # the bits of the norm feature at theta1 = theta2 = 0
+    np.testing.assert_array_equal(
+        naive[:, -1], norm_feature(replace(mom, theta1=0.0, theta2=0.0), X))
+    assert np.std(full[:, -1]) > 0  # the full map's norm feature actually varies
 
 
 @pytest.mark.parametrize("mode, per_run", [("second", 1), ("first", None), ("both", None)])

@@ -33,7 +33,7 @@ from earlylin.kernels import (
     ntk_second_layer,
     spectral_norm,
 )
-from earlylin.linmodel import FeatureMap, features, norm_feature
+from earlylin.linmodel import features, norm_feature
 from earlylin.network import (
     jacobian_second_layer,
     preactivations,
@@ -302,7 +302,7 @@ def test_linear_kernel_erf_on_hypercube_drops_the_norm_feature():
     nu_val = nu(mom, identity_covariance(16), 16)
     q = norm_feature(mom, X)
     assert np.max(np.abs(q)) <= 1e-10  # theta's vanish for erf (up to quadrature)
-    Psi = features(FeatureMap("second", mom, nu_val, 16), X)
+    Psi = features("second", mom, X)
     np.testing.assert_allclose(
         Psi @ Psi.T, (mom.zeta**2 * (X @ X.T) + 0.5 * nu_val**2) / 16, atol=1e-15)
 
