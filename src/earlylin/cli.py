@@ -7,10 +7,10 @@ config file echoed verbatim, package version) plus the data CSVs. Nothing in
 the outputs depends on wall-clock time, so identical invocations produce
 byte-identical files.
 
-Exit codes: 0 all configured assertions pass, 1 an assertion failed
-(data files are still written), 2 configuration error (nothing is written),
-3 a training run diverged (the run is aborted; `failure.json` beside the
-manifest records the subcommand, the step, the MSEs seen there, eta and T,
+Exit codes: 0 all configured checks pass, 1 a check failed (data files are
+still written), 2 configuration error (nothing is written), 3 a training run
+aborted, as it diverged or its labels' squares overflow (`failure.json` beside
+the manifest records the subcommand, the step, the MSEs seen there, eta and T,
 and the records CSV holds the rows recorded before the failing step).
 """
 
@@ -31,6 +31,7 @@ from . import __version__
 from .activations import KINDS, MAX_ORDER, Activation, leaky_relu, moments
 from .datagen import (
     BASES,
+    ConcentrationReport,
     DataSpec,
     LabelRangeWarning,
     concentration_report,
@@ -42,6 +43,7 @@ from .harness import (
     LABEL_KINDS,
     AblationRecord,
     AgreementRecord,
+    CnnDeviationPoint,
     CoupledRunConfig,
     HorizonError,
     LabelSpec,
@@ -67,7 +69,7 @@ FLOAT_FMT = "%.17g"
 MOMENTS_RTOL = 1e-8
 
 # The subcommands, and their flat config keys with defaults. None means "no
-# value unless given"; assertion thresholds are only checked when set.
+# value unless given"; a check's key is only checked when set (_CHECKS).
 DEFAULTS = {
     "moments": {
         "act": "erf", "order": None, "slope": 0.01,
@@ -147,6 +149,74 @@ _ARRAYS = {
     "discrepancy-sweep": ("n x m", "n x max(d_list)", "n_test x m", "n x teacher_width",
                           "seeds x len(d_list)"),
     "norm-ablation": ("n x m", "n x d"),
+}
+
+
+def _within(lo: float | None, hi: float | None, *values):
+    """(lo <= each value <= hi, *values, lo, hi), with 0 for an unset lo and
+    inf for an unset hi: the items of a check whose limits are computed."""
+    lo, hi = 0.0 if lo is None else lo, math.inf if hi is None else hi
+    return (all(lo <= v <= hi for v in values), *values, lo, hi)
+
+
+def _concentration_bound(cfg: dict) -> float:
+    return cfg["bound_factor"] * math.sqrt(math.log(cfg["n"]) / cfg["d"])
+
+
+# Each subcommand's post-run checks, one row per PASS/FAIL line in print
+# order: (name, key, value, detail), checked when the key (either of
+# "gram_lo/gram_hi") is set. value(r, cfg) reads the runner's result r (for
+# agreement, each seed's summary in turn): a max_ key passes a value <= its
+# setting, a min_ key one >= it, any other key a value whose first item is
+# true. name and detail format r, value's items {0}, {1}, ... and {limit}.
+_CHECKS = {
+    "spectral-decay": (
+        ("spectral-slope", "max_spectral_slope", lambda r, cfg: r.spectral_fit.slope,
+         "slope {0:.4f} vs max {limit}"),
+        ("frobenius-slope", "min_frobenius_slope", lambda r, cfg: r.frobenius_fit.slope,
+         "slope {0:.4f} vs min {limit}"),
+        ("fit-r2", "min_r2",
+         lambda r, cfg: min(r.spectral_fit.r_squared, r.frobenius_fit.r_squared),
+         "min r^2 {0:.4f} vs required {limit}"),
+    ),
+    "agreement": (
+        ("train-gap-seed{r[seed]}", "max_train_gap", lambda r, cfg: r["max_train_gap"],
+         "max train_gap {0:.3e} vs {limit}"),
+        ("test-gap-seed{r[seed]}", "max_test_gap", lambda r, cfg: r["max_test_gap"],
+         "max test_gap {0:.3e} vs {limit}"),
+        ("radius-seed{r[seed]}", "radius_check",
+         lambda r, cfg: _within(0.0, math.sqrt(cfg["d"] * math.log(cfg["d"])),
+                                r["max_w_move_fro"], r["max_beta_norm"]),
+         "max ||W-W0||_F {1:.3f}, max ||beta|| {2:.3f}, bound {4:.3f}"),
+    ),
+    "discrepancy-sweep": (
+        ("gap-decreasing", "require_decreasing",
+         lambda r, cfg: (r.strictly_decreasing,
+                         ", ".join(f"{v:.3e}" for v in r.median_max_gap)),
+         "median max gaps by d: {1}"),
+    ),
+    "cnn-ntk": (
+        ("cnn-ratio", "max_ratio", lambda r, cfg: r.points[0].ratio,
+         "ratio {0:.4f} vs max {limit}"),
+        ("cnn-ratio-decreasing", "require_decreasing",
+         lambda r, cfg: (r.decreasing, r.points[0].ratio, r.points[1].ratio),
+         "ratio {1:.4f} -> {2:.4f} as d doubles"),
+    ),
+    "concentration": (
+        ("norm-concentration", "bound_factor",
+         lambda r, cfg: _within(0.0, _concentration_bound(cfg), r.max_norm_dev),
+         "max norm dev {1:.4f} vs bound {3:.4f}"),
+        ("offdiag-concentration", "bound_factor",
+         lambda r, cfg: _within(0.0, _concentration_bound(cfg), r.max_offdiag),
+         "max offdiag {1:.4f} vs bound {3:.4f}"),
+        ("gram-scale", "gram_lo/gram_hi",
+         lambda r, cfg: _within(cfg["gram_lo"], cfg["gram_hi"], r.gram_spectral_over_n),
+         "||XX^T||/n = {1:.4f} vs [{2}, {3}]"),
+    ),
+    "norm-ablation": (
+        ("full-below-naive", "min_fraction", lambda r, cfg: r.fraction_full_below,
+         "full model closer at {0:.0%} of steps vs required {limit:.0%}"),
+    ),
 }
 
 
@@ -339,28 +409,37 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                              for v in row])
 
 
+def _write_records(path: str, record_type, records) -> None:
+    """Write the dataclass records, one column per field of `record_type`."""
+    _write_csv(path, [f.name for f in dataclasses.fields(record_type)],
+               map(dataclasses.astuple, records))
+
+
 def _recorded_run(run, config, path: str, record_type):
-    """Return run(config) and write its records to `path`, one column per
-    field of `record_type`; if the run diverges, write the records made
-    before the failing step and re-raise."""
-    header = [f.name for f in dataclasses.fields(record_type)]
+    """Return run(config) and write its records to `path`; if the run
+    aborts, write the records made before the failing step and re-raise."""
     try:
         result = run(config)
     except DivergenceError as exc:
-        _write_csv(path, header, map(dataclasses.astuple, exc.records))
+        _write_records(path, record_type, exc.records)
         raise
-    _write_csv(path, header, map(dataclasses.astuple, result.records))
+    _write_records(path, record_type, result.records)
     return result
 
 
-class Assertion:
-    """A named post-run check; failures flip the exit code to 1."""
-
-    def __init__(self, name: str, ok: bool, detail: str):
-        self.name, self.ok, self.detail = name, ok, detail
-
-    def line(self) -> str:
-        return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+def _check_lines(subcommand: str, cfg: dict, result):
+    """Yield (passed, PASS/FAIL line) for each row of _CHECKS whose key is set."""
+    for r in result if isinstance(result, list) else [result]:
+        for name, key, value, detail in _CHECKS.get(subcommand, ()):
+            settings = [cfg[k] for k in key.split("/")]
+            if all(v is None or v is False for v in settings):
+                continue
+            items = value(r, cfg)
+            items = items if isinstance(items, tuple) else (items,)
+            ok = (items[0] <= settings[0] if key.startswith("max_") else
+                  items[0] >= settings[0] if key.startswith("min_") else items[0])
+            yield ok, (f"{'PASS' if ok else 'FAIL'} {name.format(r=r)}: "
+                       f"{detail.format(*items, limit=settings[0])}")
 
 
 def _coupled_config(cfg: dict) -> CoupledRunConfig:
@@ -386,32 +465,20 @@ def _coupled_config(cfg: dict) -> CoupledRunConfig:
 
 # ---------------------------------------------------------------- subcommands
 
-def _moment_values(mom) -> list[float]:
-    return [mom.zeta, mom.theta0, mom.theta1, mom.theta2, mom.gamma]
-
-
 def _run_moments(cfg, out_dir):
     act = _activation(cfg)
-    mom = moments(act, cfg["order"])
-    finer_order = min(2 * mom.quad_order, MAX_ORDER)
-    finer = _moment_values(moments(act, finer_order))
-    change = max(abs(a - b) for a, b in zip(_moment_values(mom), finer))
-    scale = max(abs(v) for v in finer)
+    mom = dataclasses.asdict(moments(act, cfg["order"]))
+    order = mom.pop("quad_order")
+    finer_order = min(2 * order, MAX_ORDER)
+    finer = dataclasses.asdict(moments(act, finer_order))
+    change = max(abs(mom[name] - finer[name]) for name in mom)
+    scale = max(abs(finer[name]) for name in mom)
     if change > MOMENTS_RTOL * scale:
         print(f"warning: the moments move by {change / scale:.1e} of their largest "
-              f"value from quadrature order {mom.quad_order} to {finer_order}; "
+              f"value from quadrature order {order} to {finer_order}; "
               "a higher --order gives more accurate values", file=sys.stderr)
-    payload = {
-        "act": cfg["act"],
-        "order": mom.quad_order,
-        "zeta": mom.zeta,
-        "theta0": mom.theta0,
-        "theta1": mom.theta1,
-        "theta2": mom.theta2,
-        "gamma": mom.gamma,
-    }
-    print(_write_json(os.path.join(out_dir, "moments.json"), payload))
-    return []
+    print(_write_json(os.path.join(out_dir, "moments.json"),
+                      {"act": cfg["act"], "order": order, **mom}))
 
 
 def _run_spectral_decay(cfg, out_dir):
@@ -430,28 +497,11 @@ def _run_spectral_decay(cfg, out_dir):
     _write_json(os.path.join(out_dir, "fits.json"),
                 {"spectral": dataclasses.asdict(result.spectral_fit),
                  "frobenius": dataclasses.asdict(result.frobenius_fit)})
-
-    checks = []
-    sf, ff = result.spectral_fit, result.frobenius_fit
-    if cfg["max_spectral_slope"] is not None:
-        checks.append(Assertion(
-            "spectral-slope", sf.slope <= cfg["max_spectral_slope"],
-            f"slope {sf.slope:.4f} vs max {cfg['max_spectral_slope']}"))
-    if cfg["min_frobenius_slope"] is not None:
-        checks.append(Assertion(
-            "frobenius-slope", ff.slope >= cfg["min_frobenius_slope"],
-            f"slope {ff.slope:.4f} vs min {cfg['min_frobenius_slope']}"))
-    if cfg["min_r2"] is not None:
-        worst = min(sf.r_squared, ff.r_squared)
-        checks.append(Assertion(
-            "fit-r2", worst >= cfg["min_r2"],
-            f"min r^2 {worst:.4f} vs required {cfg['min_r2']}"))
-    return checks
+    return result
 
 
 def _run_agreement(cfg, out_dir):
-    checks = []
-    summary_rows = []
+    summaries = []  # one row of summary.csv per seed, by column
     base = _coupled_config(cfg)
     for k in range(cfg["seeds"]):
         seed = cfg["seed"] + k
@@ -460,31 +510,16 @@ def _run_agreement(cfg, out_dir):
                                AgreementRecord)
         log.info("agreement seed %d: eta=%g T=%d records=%d",
                  seed, result.eta, result.T, len(result.records))
-        max_train = max(r.train_gap for r in result.records)
-        max_test = max(r.test_gap_clipped for r in result.records)
-        max_w = max(r.w_move_fro for r in result.records)
-        max_beta = max(r.beta_norm for r in result.records)
-        summary_rows.append((seed, result.eta, result.T, max_train, max_test,
-                             max_w, max_beta))
-        if cfg["max_train_gap"] is not None:
-            checks.append(Assertion(
-                f"train-gap-seed{seed}", max_train <= cfg["max_train_gap"],
-                f"max train_gap {max_train:.3e} vs {cfg['max_train_gap']}"))
-        if cfg["max_test_gap"] is not None:
-            checks.append(Assertion(
-                f"test-gap-seed{seed}", max_test <= cfg["max_test_gap"],
-                f"max test_gap {max_test:.3e} vs {cfg['max_test_gap']}"))
-        if cfg["radius_check"]:
-            bound = math.sqrt(cfg["d"] * math.log(cfg["d"]))
-            checks.append(Assertion(
-                f"radius-seed{seed}", max_w <= bound and max_beta <= bound,
-                f"max ||W-W0||_F {max_w:.3f}, max ||beta|| {max_beta:.3f}, "
-                f"bound {bound:.3f}"))
-    _write_csv(os.path.join(out_dir, "summary.csv"),
-               ["seed", "eta", "T", "max_train_gap", "max_test_gap",
-                "max_w_move_fro", "max_beta_norm"],
-               summary_rows)
-    return checks
+        summaries.append({
+            "seed": seed, "eta": result.eta, "T": result.T,
+            "max_train_gap": max(r.train_gap for r in result.records),
+            "max_test_gap": max(r.test_gap_clipped for r in result.records),
+            "max_w_move_fro": max(r.w_move_fro for r in result.records),
+            "max_beta_norm": max(r.beta_norm for r in result.records),
+        })
+    _write_csv(os.path.join(out_dir, "summary.csv"), list(summaries[0]),
+               [row.values() for row in summaries])
+    return summaries
 
 
 def _run_discrepancy_sweep(cfg, out_dir):
@@ -499,58 +534,24 @@ def _run_discrepancy_sweep(cfg, out_dir):
                ["d", "median_max_gap"],
                [(d, float(sweep.median_max_gap[i]))
                 for i, d in enumerate(sweep.d_list)])
-    checks = []
-    if cfg["require_decreasing"]:
-        meds = ", ".join(f"{v:.3e}" for v in sweep.median_max_gap)
-        checks.append(Assertion("gap-decreasing", sweep.strictly_decreasing,
-                                f"median max gaps by d: {meds}"))
-    return checks
+    return sweep
 
 
 def _run_cnn_ntk(cfg, out_dir):
     result = cnn_deviation_experiment(cfg["d"], cfg["q"], cfg["n"],
                                       _activation(cfg), cfg["seed"],
                                       growth=cfg["growth"], order=cfg["order"])
-    _write_csv(os.path.join(out_dir, "deviation.csv"),
-               ["d", "n", "q", "deviation", "base_norm", "ratio"],
-               [(p.d, p.n, p.q, p.deviation, p.base_norm, p.ratio)
-                for p in result.points])
-    checks = []
-    if cfg["max_ratio"] is not None:
-        r0 = result.points[0].ratio
-        checks.append(Assertion("cnn-ratio", r0 <= cfg["max_ratio"],
-                                f"ratio {r0:.4f} vs max {cfg['max_ratio']}"))
-    if cfg["require_decreasing"]:
-        r0, r1 = result.points[0].ratio, result.points[1].ratio
-        checks.append(Assertion("cnn-ratio-decreasing", result.decreasing,
-                                f"ratio {r0:.4f} -> {r1:.4f} as d doubles"))
-    return checks
+    _write_records(os.path.join(out_dir, "deviation.csv"), CnnDeviationPoint,
+                   result.points)
+    return result
 
 
 def _run_concentration(cfg, out_dir):
     spec = DataSpec(identity_covariance(cfg["d"]), cfg["base"], cfg["n"],
                     cfg["seed"])
     report = concentration_report(generate_inputs(spec))
-    _write_csv(os.path.join(out_dir, "report.csv"),
-               ["max_norm_dev", "max_offdiag", "gram_spectral_over_n"],
-               [(report.max_norm_dev, report.max_offdiag,
-                 report.gram_spectral_over_n)])
-    checks = []
-    if cfg["bound_factor"] is not None:
-        bound = cfg["bound_factor"] * math.sqrt(math.log(cfg["n"]) / cfg["d"])
-        checks.append(Assertion(
-            "norm-concentration", report.max_norm_dev <= bound,
-            f"max norm dev {report.max_norm_dev:.4f} vs bound {bound:.4f}"))
-        checks.append(Assertion(
-            "offdiag-concentration", report.max_offdiag <= bound,
-            f"max offdiag {report.max_offdiag:.4f} vs bound {bound:.4f}"))
-    if cfg["gram_lo"] is not None or cfg["gram_hi"] is not None:
-        lo = cfg["gram_lo"] if cfg["gram_lo"] is not None else 0.0
-        hi = cfg["gram_hi"] if cfg["gram_hi"] is not None else math.inf
-        checks.append(Assertion(
-            "gram-scale", lo <= report.gram_spectral_over_n <= hi,
-            f"||XX^T||/n = {report.gram_spectral_over_n:.4f} vs [{lo}, {hi}]"))
-    return checks
+    _write_records(os.path.join(out_dir, "report.csv"), ConcentrationReport, [report])
+    return report
 
 
 def _run_norm_ablation(cfg, out_dir):
@@ -559,14 +560,7 @@ def _run_norm_ablation(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["eta", "T", "fraction_full_below"],
                [(result.eta, result.T, result.fraction_full_below)])
-    checks = []
-    if cfg["min_fraction"] is not None:
-        checks.append(Assertion(
-            "full-below-naive",
-            result.fraction_full_below >= cfg["min_fraction"],
-            f"full model closer at {result.fraction_full_below:.0%} of steps "
-            f"vs required {cfg['min_fraction']:.0%}"))
-    return checks
+    return result
 
 
 def _run_decompose(cfg, out_dir):
@@ -597,7 +591,6 @@ def _run_decompose(cfg, out_dir):
                 "fraction_in_span"],
                [(energy_in, energy_out, total,
                  energy_in / total if total > 0 else 0.0)])
-    return []
 
 
 _RUNNERS = {
@@ -696,10 +689,12 @@ def run(argv=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:  # --out names a file, or a path under one
             raise ConfigError([f"--out {out_dir}: {exc.strerror}"]) from None
-        if os.path.exists(os.path.join(out_dir, "failure.json")):
-            os.remove(os.path.join(out_dir, "failure.json"))  # from an earlier run
+        # an earlier run's files that an aborted run would leave beside its manifest
+        for name in ("failure.json", "summary.csv", "gaps.csv"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         with _label_warnings_as_cli_lines():
-            checks = _RUNNERS[args.subcommand](cfg, out_dir)
+            result = _RUNNERS[args.subcommand](cfg, out_dir)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -711,10 +706,10 @@ def run(argv=None) -> int:
         return 3
     _write_manifest(out_dir, args.subcommand, cfg, raw_file, warnings)
 
-    failed = [c for c in checks if not c.ok]
-    for check in checks:
-        print(check.line())
-    return 1 if failed else 0
+    checks = list(_check_lines(args.subcommand, cfg, result))
+    for _, line in checks:
+        print(line)
+    return 0 if all(ok for ok, _ in checks) else 1
 
 
 def main() -> None:

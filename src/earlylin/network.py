@@ -31,7 +31,9 @@ class DivergenceError(RuntimeError):
     `step` is the step at which the check failed, `mses` the training MSE of
     each model seen there (by name: "net", "lin", ...), `eta`, `T` the
     learning rate and horizon of the run, and `records` the rows the run
-    recorded before the failing step.
+    recorded before the failing step. At step 0 no model has moved and every
+    model the package trains outputs 0, so the labels' squares overflowed:
+    the message says so, not that the run diverged.
     """
 
     def __init__(self, what: str, step: int, mses: dict[str, float],
@@ -39,7 +41,8 @@ class DivergenceError(RuntimeError):
         self.step, self.mses, self.eta, self.T = step, dict(mses), eta, T
         self.records = list(records)
         seen = ", ".join(f"{name} mse={value}" for name, value in self.mses.items())
-        super().__init__(f"{what} diverged at step {step}: {seen}")
+        event = f"diverged at step {step}" if step else "has labels whose squares overflow"
+        super().__init__(f"{what} {event}: {seen}")
 
 
 def mean_squared_error(u: np.ndarray, y: np.ndarray) -> float:

@@ -26,6 +26,8 @@ KEPT_FOR_THE_TESTS = {
 # "Class" keeps every member of the class, "Class.member" that member.
 MEMBERS_KEPT = {
     "AgreementRecord": "its fields are the columns of the agreement CSV (`dataclasses.astuple`)",
+    "CnnDeviationPoint": "its fields are the columns of deviation.csv (`dataclasses.astuple`)",
+    "Moments": "its fields are the keys of moments.json (`dataclasses.asdict`)",
     "DecayFit.intercept": "a key of fits.json (`dataclasses.asdict`)",
 }
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from earlylin.cli import _KEYS, ConfigError, DEFAULTS, run, validate_config
+from earlylin.cli import _CHECKS, _KEYS, ConfigError, DEFAULTS, run, validate_config
 
 
 def read_tree(root):
@@ -370,14 +370,18 @@ def test_a_frozen_first_layer_diverges_under_the_same_contract(tmp_path, subcomm
     assert [int(r["step"]) for r in rows] == list(range(failure["step"]))
 
 
-def test_a_later_successful_run_clears_the_failure_record(tmp_path):
+@pytest.mark.parametrize("subcommand", ["agreement", "discrepancy-sweep", "norm-ablation"])
+def test_a_later_successful_run_clears_the_failure_record(tmp_path, subcommand):
     out = tmp_path / "out"
-    args = ["agreement", "--T", "4", "--d", "10", "--n", "200", "--m", "16",
-            "--n-test", "0", "--out", str(out)]
+    args = [subcommand, *SMALL[subcommand], "--out", str(out)]
     assert run(args + ["--eta", "1e6"]) == 3
     assert (out / "failure.json").exists()
-    assert run(args + ["--eta", "0.5"]) == 0
+    assert run(args) == 0
     assert not (out / "failure.json").exists()
+    # and an aborted run leaves no summary of the earlier one beside its record
+    assert run(args + ["--eta", "1e6"]) == 3
+    names = {p.name for p in out.iterdir()}
+    assert "failure.json" in names and not names & {"summary.csv", "gaps.csv"}, names
 
 
 def test_overflow_abort_prints_only_the_abort_line(tmp_path, capsys):
@@ -644,8 +648,8 @@ def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, caps
                                                                   key, value):
     # a config error, or a run that passes or fails its checks: never a
     # traceback, a raw warning or a line past 200 characters (a huge number
-    # prints short). Only a huge rate, or labels so large that their squares
-    # overflow, may abort the run as a divergence.
+    # prints short). Only a huge rate may abort the run as a divergence;
+    # labels so large that their squares overflow abort it before its first step.
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -660,6 +664,72 @@ def test_number_keys_at_zero_and_minus_one_keep_the_exit_contract(tmp_path, caps
         assert value == "1e300" and key in ("eta", "a_norm"), lines
         assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
         assert lines[-1].startswith("aborted: "), lines
+        assert ("diverged" in lines[-1]) == (key == "eta"), lines
+        assert key == "eta" or "has labels whose squares overflow" in lines[-1], lines
     else:
         assert code in (0, 1)
         assert all(line.startswith("warning: ") for line in lines), lines
+
+
+# Each post-run check at the SMALL sizes: the flags that make it pass, those
+# that make it fail, and the names of the lines it prints
+CHECK_CASES = [
+    ("spectral-decay", "max_spectral_slope", ["--max-spectral-slope", "1e9"],
+     ["--max-spectral-slope=-1e9"], ["spectral-slope"]),
+    ("spectral-decay", "min_frobenius_slope", ["--min-frobenius-slope=-1e9"],
+     ["--min-frobenius-slope", "1e9"], ["frobenius-slope"]),
+    ("spectral-decay", "min_r2", ["--min-r2=-1e9"], ["--min-r2", "1e9"], ["fit-r2"]),
+    ("agreement", "max_train_gap", ["--max-train-gap", "1e9"], ["--max-train-gap=-1"],
+     ["train-gap-seed1"]),
+    ("agreement", "max_test_gap", ["--max-test-gap", "1e9"], ["--max-test-gap=-1"],
+     ["test-gap-seed1"]),
+    ("agreement", "radius_check", ["--radius-check"], ["--radius-check", "--eta", "3"],
+     ["radius-seed1"]),
+    # the same runs in the other order of d: the medians reversed
+    ("discrepancy-sweep", "require_decreasing", ["--require-decreasing", "--d-list", "3,2"],
+     ["--require-decreasing", "--d-list", "2,3"], ["gap-decreasing"]),
+    ("cnn-ntk", "max_ratio", ["--max-ratio", "1e9"], ["--max-ratio", "0"], ["cnn-ratio"]),
+    ("cnn-ntk", "require_decreasing", ["--require-decreasing"],
+     ["--require-decreasing", "--q", "4"], ["cnn-ratio-decreasing"]),
+    ("concentration", "bound_factor", ["--bound-factor", "1e9"], ["--bound-factor", "1e-9"],
+     ["norm-concentration", "offdiag-concentration"]),
+    ("concentration", "gram_lo", ["--gram-lo", "0"], ["--gram-lo", "1e9"], ["gram-scale"]),
+    ("concentration", "gram_hi", ["--gram-hi", "1e9"], ["--gram-hi", "0"], ["gram-scale"]),
+    ("norm-ablation", "min_fraction", ["--min-fraction", "0"], ["--min-fraction", "2"],
+     ["full-below-naive"]),
+]
+
+
+@pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
+@pytest.mark.parametrize("sub, key, pass_args, fail_args, names", CHECK_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in CHECK_CASES])
+def test_each_check_prints_its_lines_and_sets_the_exit_code(tmp_path, capsys, sub, key,
+                                                            pass_args, fail_args, names,
+                                                            passes):
+    code = run([sub, *SMALL[sub], *(pass_args if passes else fail_args),
+                "--out", str(tmp_path)])
+    assert code == (0 if passes else 1)
+    verdict = "PASS" if passes else "FAIL"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"{verdict} {name}" for name in names]
+
+
+def test_every_check_key_has_a_row_and_a_case():
+    # no key that sets a check is silently never checked, nor left untested
+    keys = {(sub, key) for sub, defaults in DEFAULTS.items() for key in defaults
+            if key.startswith(("max_", "min_", "require_"))
+            or key in ("radius_check", "bound_factor", "gram_lo", "gram_hi")}
+    assert len(keys) == 13
+    assert {(sub, key) for sub, key, *_ in CHECK_CASES} == keys
+    assert {(sub, key) for sub, rows in _CHECKS.items()
+            for _, keys_of_row, *_ in rows for key in keys_of_row.split("/")} == keys
+
+
+def test_labels_whose_squares_overflow_abort_before_the_first_step(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["agreement", *SMALL["agreement"], "--labels", "norm", "--a-norm", "1e300",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "aborted: coupled run has labels whose squares overflow: net mse=inf, lin mse=inf; "
+        f"see {out / 'failure.json'}")
+    assert json.loads((out / "failure.json").read_text())["step"] == 0
